@@ -17,7 +17,6 @@ from repro.bench import Table, session_for
 from repro.graph import datasets
 from repro.patterns import catalog
 from repro.runtime.engine import EngineOptions, chunk_ranges, execute_plan
-from repro.runtime.supervisor import RunPolicy
 
 PAPER_16T = 15.11
 
@@ -120,8 +119,7 @@ def run_experiment():
     # time — worker spans really do travel back through the result
     # channel and cover the execution.
     observe.enable("fig16")
-    traced = execute_plan(plan, graph, options=EngineOptions(workers=4),
-                          policy=RunPolicy(supervised=True))
+    traced = execute_plan(plan, graph, options=EngineOptions(workers=4))
     trace = observe.disable()
     assert traced.raw_count == total
     span_total = trace.total("chunk")
@@ -136,32 +134,6 @@ def run_experiment():
         f"{trace_coverage:.1%} of wall time (workers overlap, so >100% "
         f"means real concurrency; <100% is pool startup + supervisor "
         f"polling); JSON export {len(trace.to_json())} bytes"
-    )
-
-    # Supervisor overhead: the fault-tolerant chunk supervisor (retry/
-    # backoff bookkeeping, health polling, dedup) versus the raw
-    # imap_unordered pool on the same fault-free 4-worker run.  Best of
-    # five isolates scheduler noise on the single-core container.
-    def best_of(supervised, rounds=5):
-        best, result = float("inf"), None
-        for _ in range(rounds):
-            started = time.perf_counter()
-            result = execute_plan(plan, graph,
-                                  options=EngineOptions(workers=4),
-                                  policy=RunPolicy(supervised=supervised))
-            best = min(best, time.perf_counter() - started)
-        return best, result
-
-    raw_s, raw = best_of(False)
-    sup_s, sup = best_of(True)
-    assert sup.raw_count == raw.raw_count == total
-    overhead_pct = (sup_s - raw_s) / raw_s * 100.0
-    table.add_note(
-        f"supervisor overhead (fault-free, 4 workers, best of 5): "
-        f"supervised {sup_s * 1000:.1f}ms vs raw pool "
-        f"{raw_s * 1000:.1f}ms -> {overhead_pct:+.1f}% "
-        f"({sup.metrics.retries} retries, "
-        f"{sup.metrics.pool_restarts} pool restarts)"
     )
 
     # Observability: the same supervised 4-worker run with the run
@@ -181,7 +153,6 @@ def run_experiment():
             observed = execute_plan(
                 plan, graph,
                 options=EngineOptions(workers=4, progress=progress),
-                policy=RunPolicy(supervised=True),
             )
             runs = active_ledger().runs()
         finally:
@@ -201,11 +172,11 @@ def run_experiment():
         f"({runs[0].embedding_count:,} embeddings, "
         f"{len(runs[0].phases)} phase timings)"
     )
-    return table, speedups, overhead_pct, (sup_s - raw_s) * 1000.0
+    return table, speedups
 
 
 def test_fig16_scalability(report, run_once):
-    table, speedups, overhead_pct, overhead_ms = run_once(run_experiment)
+    table, speedups = run_once(run_experiment)
     report(table)
     # Shape: near-linear scaling out to 16 workers, as in the paper.
     assert speedups[16] > 8.0
@@ -214,7 +185,3 @@ def test_fig16_scalability(report, run_once):
         speedups[a] <= speedups[b] + 1e-9
         for a, b in ((1, 2), (2, 4), (4, 8), (8, 16))
     )
-    # Fault tolerance must be ~free when nothing fails: under 5% on
-    # this run (with a 10ms absolute floor against timer jitter on the
-    # ~50ms single-core workload).
-    assert overhead_pct < 5.0 or overhead_ms < 10.0

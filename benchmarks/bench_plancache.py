@@ -46,7 +46,6 @@ from repro.bench import Table
 from repro.graph.generators import power_law
 from repro.patterns import catalog
 from repro.runtime.engine import EngineOptions
-from repro.runtime.supervisor import RunPolicy
 
 #: Catalog spread: intersection-heavy, sparse-tail, and the paper's
 #: running example — all with nontrivial plan searches to amortize.
@@ -93,7 +92,6 @@ def measure(graph, cache_dir, pattern):
         plan_cache=cache_dir,
         engine=EngineOptions(progress=heartbeat, workers=2,
                              chunks_per_worker=16),
-        run_policy=RunPolicy(supervised=True),
     )
     session.plan_for(pattern)
     plan_latency = time.perf_counter() - start

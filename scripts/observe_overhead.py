@@ -165,18 +165,16 @@ def measure_ledger_and_heartbeats(rounds: int) -> dict:
     import tempfile
 
     from repro.observe.ledger import disable_ledger, enable_ledger
-    from repro.runtime.supervisor import RunPolicy
 
     graph = datasets.load("mc")
     session = session_for(graph)
     plan = session.plan_for(catalog.house())
-    policy = RunPolicy(supervised=True)
     plain = EngineOptions(workers=4)
     observed = EngineOptions(workers=4, progress=lambda event: None)
 
     def sample(options) -> float:
         started = time.perf_counter()
-        execute_plan(plan, graph, options=options, policy=policy)
+        execute_plan(plan, graph, options=options)
         return time.perf_counter() - started
 
     sample(plain)  # warm the fork-state/pool path outside timing
@@ -218,8 +216,8 @@ def measure_governor(rounds: int) -> dict:
     graph = datasets.load("mc")
     session = session_for(graph)
     plan = session.plan_for(catalog.house())
-    plain = RunPolicy(supervised=True)
-    governed = RunPolicy(supervised=True, resources=ResourceBudget())
+    plain = RunPolicy()
+    governed = RunPolicy(resources=ResourceBudget())
     options = EngineOptions(workers=4)
 
     def sample(policy) -> float:

@@ -80,7 +80,6 @@ def governed_policy(checkpoint=None, **budget_kwargs) -> RunPolicy:
     return RunPolicy(
         budget=RunBudget(backoff_s=0.001, **budget_kwargs),
         checkpoint=checkpoint,
-        supervised=True,
         resources=BUDGET,
     )
 

@@ -47,27 +47,6 @@ from repro.runtime.supervisor import RunBudget, RunPolicy
 
 __all__ = ["DecoMine"]
 
-#: Pre-redesign ``DecoMine.__init__`` keywords, removed after their
-#: one-release deprecation window, mapped to the current spelling.
-_REMOVED_INIT_KWARGS = {
-    "workers": "engine=EngineOptions(workers=...)",
-    "executor": "engine=EngineOptions(executor=...)",
-}
-
-
-def _reject_removed_init_kwargs(removed: dict) -> None:
-    known = {k: v for k, v in _REMOVED_INIT_KWARGS.items() if k in removed}
-    if known:
-        detail = "; ".join(
-            f"{name}= was removed, pass {replacement}"
-            for name, replacement in known.items()
-        )
-        raise ReproError(f"DecoMine() no longer accepts these keywords: {detail}")
-    name = next(iter(removed))
-    raise TypeError(
-        f"DecoMine() got an unexpected keyword argument {name!r}"
-    )
-
 ProcessPartialEmbedding = Callable[[PartialEmbedding], None]
 
 
@@ -84,10 +63,7 @@ class DecoMine:
     engine:
         An :class:`~repro.runtime.engine.EngineOptions` bundle applied
         to every counting execution: worker count, chunking, executor
-        choice, set-op cache policy, fault plan.  (The pre-redesign
-        ``workers=``/``executor=`` keywords are gone; passing them
-        raises :class:`~repro.exceptions.ReproError` naming the
-        replacement.)
+        choice, set-op cache policy, fault plan.
     plan_cache:
         Optional persistent :class:`~repro.compiler.plancache.PlanCache`
         (or a directory path) shared with other sessions and the
@@ -125,10 +101,7 @@ class DecoMine:
         *,
         engine: EngineOptions | None = None,
         plan_cache: "PlanCache | str | None" = None,
-        **removed,
     ) -> None:
-        if removed:
-            _reject_removed_init_kwargs(removed)
         self.graph = graph
         self.model = (
             get_model(cost_model) if isinstance(cost_model, str) else cost_model
@@ -490,7 +463,6 @@ class DecoMine:
             policy = replace(
                 base,
                 budget=replace(budget, deadline_s=min(deadlines)),
-                supervised=True,
             )
         started = time.perf_counter()
         batch_plan = compile_batch(
@@ -569,7 +541,6 @@ class DecoMine:
         return replace(
             policy,
             budget=replace(budget, deadline_s=request.deadline_s),
-            supervised=True,
         )
 
     def _count_request(self, request, options, policy, events):

@@ -430,7 +430,6 @@ def main(argv: list[str] | None = None) -> int:
         run_policy = RunPolicy(
             budget=RunBudget(deadline_s=getattr(args, "deadline", None)),
             checkpoint=getattr(args, "resume", None),
-            supervised=True,
             resources=resources,
         )
     progress = None

@@ -402,10 +402,10 @@ def record_run(
     graph,
     options,
     result,
-    *,
     budget=None,
     checkpoint=None,
-    supervised=None,
+    supervised: bool | None = None,
+    *,
     aux: bool = False,
 ) -> "RunRecord | None":
     """Append one execution's record to the active ledger.

@@ -100,8 +100,7 @@ def _node_policy(policy, deadline_at):
     remaining = max(deadline_at - time.monotonic(), 0.001)
     base = policy if policy is not None else RunPolicy()
     budget = base.budget if base.budget is not None else RunBudget()
-    return replace(base, budget=replace(budget, deadline_s=remaining),
-                   supervised=True)
+    return replace(base, budget=replace(budget, deadline_s=remaining))
 
 
 def _trivial_count(graph, pattern) -> int:

@@ -17,19 +17,17 @@ tracing is enabled — every chunk runs under a ``"chunk"`` span (worker
 spans travel back through the per-chunk result channel).
 
 Execution knobs are bundled in :class:`EngineOptions`; supervision knobs
-(budget, checkpoint, supervision toggle) in
-:class:`~repro.runtime.supervisor.RunPolicy`.  The pre-redesign kwargs
-(``workers=``/``chunks_per_worker=``/``executor=`` and
-``checkpoint=``/``supervised=``) were removed after their one-release
-deprecation window; passing one raises :class:`ExecutionError` naming
-the replacement.
+(budget, checkpoint, resource budget) in
+:class:`~repro.runtime.supervisor.RunPolicy`.
 
-Parallel runs are *supervised* by default: chunk dispatch goes through
-:class:`repro.runtime.supervisor.Supervisor`, which retries chunks lost
-to worker crashes or exceptions, honors ``RunBudget`` deadlines, and
-(opt-in) checkpoints completed chunks for resume.  ``supervised=False``
-(via ``RunPolicy``) selects the raw ``imap_unordered`` fast path with no
-recovery — the baseline the supervisor's overhead is benchmarked against.
+Chunked runs go through one mechanism,
+:class:`repro.runtime.supervisor.Supervisor`: it drains the chunks on a
+fork pool (serially on hosts without ``fork``), retries chunks lost to
+worker crashes or exceptions, honors ``RunBudget`` deadlines, and
+(opt-in) checkpoints completed chunks for resume.  Whether a run is
+supervised follows from its inputs alone: more than one worker, a
+budget, checkpoint or resource budget, a fault plan, or a progress
+reporter.  Any other run executes inline as one chunk.
 
 On a single-core host multiprocessing adds no wall-clock speedup; the
 scalability benchmark therefore also reports the measured per-chunk work
@@ -56,7 +54,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.transform import ORIENTATIONS, OrientedGraph, orient
 from repro.observe.trace import (
     begin_worker_trace,
-    graft_worker_spans,
     span,
     take_worker_spans,
 )
@@ -117,11 +114,11 @@ class EngineOptions:
         sums so relabeled heavy hitters spread across chunks.
     progress:
         Optional :data:`~repro.observe.progress.ProgressReporter`
-        callable.  Supervised executions fire it once per completed
-        chunk with a :class:`~repro.observe.progress.ProgressEvent`
-        (chunks/work done, embeddings so far, throughput, ETA) and
-        refresh the ``repro_progress_*`` gauges.  Unsupervised paths
-        emit no heartbeats.
+        callable.  A reporter makes a non-emit execution supervised,
+        which fires it once per completed chunk with a
+        :class:`~repro.observe.progress.ProgressEvent` (chunks/work
+        done, embeddings so far, throughput, ETA) and refreshes the
+        ``repro_progress_*`` gauges.
     """
 
     workers: int = 1
@@ -430,51 +427,18 @@ def _merge_stats(into: dict[str, int], part: dict[str, int]) -> None:
         into[key] = into.get(key, 0) + value
 
 
-#: Keywords that predate the EngineOptions/RunPolicy redesign, with the
-#: spelling that replaced each — kept only to produce a pointed error.
-_REMOVED_KWARGS = {
-    "workers": "EngineOptions(workers=...)",
-    "chunks_per_worker": "EngineOptions(chunks_per_worker=...)",
-    "executor": "EngineOptions(executor=...)",
-    "cache": "EngineOptions(cache=...)",
-    "faults": "EngineOptions(faults=...)",
-    "checkpoint": "RunPolicy(checkpoint=...)",
-    "supervised": "RunPolicy(supervised=...)",
-}
-
-
-def _reject_removed_kwargs(caller: str, removed: dict) -> None:
-    if not removed:
-        return
-    unknown = sorted(set(removed) - set(_REMOVED_KWARGS))
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword argument(s): "
-            + ", ".join(unknown)
-        )
-    replacements = "; ".join(
-        f"{key}= -> {_REMOVED_KWARGS[key]}" for key in sorted(removed)
-    )
-    raise ExecutionError(
-        f"{caller}({'/'.join(sorted(f'{k}=' for k in removed))}) was "
-        f"removed with the options redesign: {replacements} "
-        "(pass the bundle via the `options`/`policy` arguments)"
-    )
-
-
 def _resolve_policy(policy):
     """Normalize RunPolicy | RunBudget | None into the (budget,
-    checkpoint, supervised, resources) tuple the engine works with."""
+    checkpoint, resources) tuple the engine works with."""
     from repro.runtime.resources import ResourceBudget
     from repro.runtime.supervisor import CheckpointStore, RunBudget, RunPolicy
 
-    budget = checkpoint = supervised = resources = None
+    budget = checkpoint = resources = None
     if isinstance(policy, RunBudget):
         budget = policy
     elif isinstance(policy, RunPolicy):
         budget = policy.budget
         checkpoint = policy.checkpoint
-        supervised = policy.supervised
         resources = policy.resources
     elif policy is not None:
         raise ExecutionError(
@@ -487,7 +451,7 @@ def _resolve_policy(policy):
         )
     if checkpoint is not None and not hasattr(checkpoint, "record"):
         checkpoint = CheckpointStore(checkpoint)
-    return budget, checkpoint, supervised, resources
+    return budget, checkpoint, resources
 
 
 def _publish_metrics(stats: dict[str, int], chunk_seconds: list[float],
@@ -558,34 +522,39 @@ def execute_plan(
     ctx: ExecutionContext | None = None,
     options: EngineOptions | None = None,
     policy=None,
-    **removed,
 ) -> ExecutionResult:
     """Execute a compiled plan.
 
     ``options`` (an :class:`EngineOptions`) bundles the execution knobs:
     worker count, chunking, executor choice, set-op cache policy, fault
-    plan.  With ``options.workers > 1`` the outer loop is chunked across
-    a fork-based process pool; emit-mode plans (UDF callbacks hold user
-    state) run single-process.
+    plan, progress reporter.  With ``options.workers > 1`` the outer
+    loop is chunked across a fork-based process pool; emit-mode plans
+    (UDF callbacks hold user state) run single-process.
 
     ``policy`` (a :class:`~repro.runtime.supervisor.RunPolicy`, or a
     bare :class:`~repro.runtime.supervisor.RunBudget` for just the
     retry/deadline knobs) bundles supervision: retry caps, backoff,
     per-chunk timeouts, the whole-run deadline, the checkpoint store for
-    killed-run resume, and the supervision toggle.  Supervision defaults
-    to on whenever it can matter — parallel runs, or any run with a
-    budget, checkpoint, or fault plan; ``RunPolicy(supervised=False)``
-    forces the raw unrecoverable fast path.
-
-    The keyword spellings predating :class:`EngineOptions` and the
-    ``RunPolicy`` fold (``workers=``, ``chunks_per_worker=``,
-    ``executor=``, ``checkpoint=``, ``supervised=``, ...) were removed
-    after their deprecation release; passing one raises
-    :class:`ExecutionError` naming the replacement spelling.
+    killed-run resume, and the resource budget.  A non-emit plan runs
+    under the :class:`~repro.runtime.supervisor.Supervisor` whenever
+    supervision can matter — more than one worker, a budget, checkpoint
+    or resource budget, a fault plan, or a progress reporter; otherwise
+    it runs inline as a single chunk.
     """
-    _reject_removed_kwargs("execute_plan", removed)
     options = options if options is not None else EngineOptions()
-    policy_budget, checkpoint, supervised, resources = _resolve_policy(policy)
+    budget, checkpoint, resources = _resolve_policy(policy)
+    return _execute(plan, graph, ctx, options, budget, checkpoint,
+                    resources, aux=False)
+
+
+def _execute(plan, graph, ctx, options, policy_budget, checkpoint,
+             resources, *, aux: bool) -> ExecutionResult:
+    """One execution with an already-resolved policy.
+
+    ``aux`` marks a shrinkage-correction execution (see
+    ``CompiledPlan.aux_plans``) so its ledger record is distinguishable
+    from the user-facing run's.
+    """
     if ctx is None:
         ctx = ExecutionContext(plan.root.num_tables, cache=options.cache,
                                faults=options.faults)
@@ -604,20 +573,14 @@ def execute_plan(
             "partial embeddings to the UDF; emit-mode plans run "
             "unsupervised"
         )
-    if supervised is None:
-        supervised = (
-            options.workers > 1
-            or policy_budget is not None
-            or checkpoint is not None
-            or resources is not None
-            or ctx.faults is not None
-        ) and plan.mode != "emit"
-    if resources is not None and not supervised:
-        raise ExecutionError(
-            "resource-governed execution needs the supervisor (token "
-            "lifecycle, bisection); drop RunPolicy(supervised=False) or "
-            "the resource budget"
-        )
+    supervised = plan.mode != "emit" and (
+        options.workers > 1
+        or policy_budget is not None
+        or checkpoint is not None
+        or resources is not None
+        or ctx.faults is not None
+        or options.progress is not None
+    )
 
     orientation = _effective_orientation(plan, options)
     # orient() memoizes per (graph, mode), so repeated executions — and
@@ -652,7 +615,7 @@ def execute_plan(
     run_span = span(
         "execute", pattern=plan.pattern.name or repr(plan.pattern),
         mode=plan.mode, workers=options.workers, executor=options.executor,
-        supervised=bool(supervised), orientation=orientation,
+        orientation=orientation,
     )
     gov_scope = (
         _GovernorScope(ctx, saved_resources, gov_token)
@@ -712,7 +675,7 @@ def execute_plan(
                 }
             _merge_stats(stats, setops.STATS.delta(kernel_before))
             _merge_stats(stats, vectorops.VSTATS.delta(vec_before))
-        elif options.workers <= 1:
+        else:
             with span("chunk", index=0) as chunk_span:
                 accumulators = _run_range(plan, exec_graph, ctx, None, None,
                                           options.executor)
@@ -723,21 +686,11 @@ def execute_plan(
                              or (time.perf_counter() - started)]
             stats = setops.STATS.delta(kernel_before)
             _merge_stats(stats, vectorops.VSTATS.delta(vec_before))
-        else:
-            ranges = _plan_ranges(
-                exec_graph, orientation,
-                options.workers * options.chunks_per_worker,
-            )
-            accumulators, chunk_seconds, stats = _run_parallel(
-                plan, exec_graph, ctx, ranges, options
-            )
-            _merge_stats(stats, setops.STATS.delta(kernel_before))
-            _merge_stats(stats, vectorops.VSTATS.delta(vec_before))
         for key, value in ctx.cache_counters().items():
             stats[key] = stats.get(key, 0) + value - cache_before.get(key, 0)
         # This execution's own telemetry goes to the registry before the
         # aux-plan corrections below: each aux execution recurses through
-        # execute_plan and publishes its own delta.
+        # _execute and publishes its own delta.
         _publish_metrics(stats, chunk_seconds, retries, resumed_chunks,
                          pool_restarts, len(failures),
                          bisections=bisections,
@@ -759,16 +712,9 @@ def execute_plan(
                     policy_budget,
                     deadline_s=max(0.0, deadline_at - time.monotonic()),
                 )
-            aux_policy = _make_policy(aux_budget, checkpoint, supervised,
-                                      resources)
-            global _IN_AUX
-            previous_aux, _IN_AUX = _IN_AUX, True
-            try:
-                aux_result = execute_plan(
-                    aux_plan, graph, options=options, policy=aux_policy,
-                )
-            finally:
-                _IN_AUX = previous_aux
+            aux_result = _execute(aux_plan, graph, None, options,
+                                  aux_budget, checkpoint, resources,
+                                  aux=True)
             accumulators[COUNT_ACC] = (
                 accumulators.get(COUNT_ACC, 0)
                 - multiplier * aux_result.raw_count
@@ -803,17 +749,12 @@ def execute_plan(
     from repro.observe import ledger as ledger_mod
 
     record = ledger_mod.record_run(
-        plan, graph, options, result, budget=policy_budget,
-        checkpoint=checkpoint, supervised=supervised, aux=_IN_AUX,
+        plan, graph, options, result, policy_budget, checkpoint, supervised,
+        aux=aux,
     )
     if record is not None:
         result.run_id = record.run_id
     return result
-
-
-#: True while an aux (shrinkage-correction) plan is being executed, so
-#: its ledger record is distinguishable from the user-facing run's.
-_IN_AUX = False
 
 
 class _GovernorScope:
@@ -837,13 +778,6 @@ class _GovernorScope:
         self.ctx.resources, self.ctx.poll_cancel = self.saved_resources
         self.token.close()
         return False
-
-
-def _make_policy(budget, checkpoint, supervised, resources=None):
-    from repro.runtime.supervisor import RunPolicy
-
-    return RunPolicy(budget=budget, checkpoint=checkpoint,
-                     supervised=supervised, resources=resources)
 
 
 def _run_range(plan, graph, ctx, start, stop, executor) -> dict[str, int]:
@@ -935,61 +869,6 @@ def _chunk_worker(task: tuple[int, int, int, int]):
     _merge_stats(stats, ctx.cache_counters())
     return (index, attempt, accumulators, elapsed, stats,
             take_worker_spans(worker_trace))
-
-
-def _run_parallel(plan, graph, ctx, ranges, options: EngineOptions):
-    import multiprocessing as mp
-
-    stats: dict[str, int] = {}
-    tasks = [(index, 1, start, stop)
-             for index, (start, stop) in enumerate(ranges)]
-    if not hasattr(os, "fork"):  # non-POSIX fallback
-        merged: dict[str, int] = {}
-        seconds = []
-        for index, (start, stop) in enumerate(ranges):
-            chunk_started = time.perf_counter()
-            chunk_ctx = ExecutionContext(plan.root.num_tables,
-                                         predicates=list(ctx.predicates),
-                                         cache=options.cache)
-            with span("chunk", index=index) as chunk_span:
-                partial = _run_range(plan, graph, chunk_ctx, start, stop,
-                                     options.executor)
-            seconds.append(chunk_span.duration
-                           or (time.perf_counter() - chunk_started))
-            _merge_stats(stats, chunk_ctx.cache_counters())
-            for key, value in partial.items():
-                merged[key] = merged.get(key, 0) + value
-        return merged, seconds, stats
-
-    state = {
-        "plan": plan, "graph": graph, "executor": options.executor,
-        "predicates": list(ctx.predicates), "faults": ctx.faults,
-        "cache": options.cache,
-    }
-    shared_handle = _share_state_graph(state, options.shared_graph)
-    token = _register_fork_state(state)
-    try:
-        context = mp.get_context("fork")
-        with context.Pool(processes=options.workers,
-                          initializer=_set_worker_token,
-                          initargs=(token,)) as pool:
-            merged = {}
-            seconds = []
-            # imap_unordered drains the shared chunk queue dynamically:
-            # an idle worker immediately picks up unstarted chunks, the
-            # work-stealing behaviour of the paper's runtime.
-            for (_, _, partial, chunk_time, chunk_stats,
-                 chunk_spans) in pool.imap_unordered(_chunk_worker, tasks):
-                seconds.append(chunk_time)
-                _merge_stats(stats, chunk_stats)
-                graft_worker_spans(chunk_spans)
-                for key, value in partial.items():
-                    merged[key] = merged.get(key, 0) + value
-        return merged, seconds, stats
-    finally:
-        _release_fork_state(token)
-        if shared_handle is not None:
-            shared_handle.close()
 
 
 def _share_state_graph(state: dict, enabled: bool = True):

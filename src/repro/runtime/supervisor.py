@@ -148,15 +148,15 @@ class RunBudget:
 
 @dataclass(frozen=True)
 class RunPolicy:
-    """Session-level bundle: budget + checkpoint + supervision toggle.
+    """Session-level bundle: budget + checkpoint + resource budget.
 
     ``DecoMine(run_policy=...)`` accepts this (or a bare
     :class:`RunBudget`) and threads it into every counting execution.
+    Setting any field makes counting executions supervised.
     """
 
     budget: RunBudget | None = None
     checkpoint: "CheckpointStore | str | Path | None" = None
-    supervised: bool | None = None
     #: Optional :class:`~repro.runtime.resources.ResourceBudget` turning
     #: the run into a resource-governed one (cancel token + watchdog +
     #: bisection ladder).

@@ -102,7 +102,6 @@ class MiningServer:
         self._pending = 0
         self._inflight = 0
         self._state_lock = threading.Lock()
-        self._session_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._threads: list[threading.Thread] = []
         self._sock: socket.socket | None = None

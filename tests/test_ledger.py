@@ -3,7 +3,8 @@
 Covers the off-by-default contract (no active ledger, no writes), the
 record contents of real executions (run ids, plan/graph fingerprints,
 frozen options, metrics, the phase rollup), the query API's filters,
-torn-line tolerance on load, and aux-run flagging.
+torn-line tolerance on load, and aux-run flagging (also under
+overlapping decomposed runs on concurrent threads).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.observe.ledger import (
 )
 from repro.patterns import catalog
 from repro.runtime.engine import EngineOptions, execute_plan
-from repro.runtime.supervisor import RunPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -65,10 +65,11 @@ def test_no_active_ledger_records_nothing(graph, tmp_path):
 def test_execution_appends_a_complete_record(graph, tmp_path):
     path = tmp_path / "ledger.jsonl"
     enable_ledger(path)
+    # A progress reporter makes the run supervised (two chunks).
     session = DecoMine(
         graph,
-        engine=EngineOptions(workers=1, chunks_per_worker=2),
-        run_policy=RunPolicy(supervised=True),
+        engine=EngineOptions(workers=1, chunks_per_worker=2,
+                             progress=lambda event: None),
     )
     expected = session.get_pattern_count(catalog.house())
     disable_ledger()
@@ -192,3 +193,68 @@ def test_enable_ledger_accepts_ledger_instance(tmp_path):
     assert enable_ledger(ledger) is ledger
     assert active_ledger() is ledger
     assert disable_ledger() is ledger
+
+
+def test_overlapping_aux_runs_leave_later_runs_top_level(
+    graph, tmp_path, monkeypatch
+):
+    """Two decomposed runs whose aux executions overlap (the serve
+    daemon runs requests on concurrent threads) must not leak the aux
+    flag into later top-level records.
+
+    Forced interleaving: A enters its first aux execution, B enters
+    its own, A finishes, then B finishes.
+    """
+    import threading
+
+    from repro.baselines import reference
+    from repro.costmodel import profile_graph
+    from repro.runtime import engine
+    from tests.test_global_shrinkage import composite_plan
+
+    profile = profile_graph(graph, max_pattern_size=3, trials=40)
+    plan = composite_plan(catalog.house(), profile)
+    assert plan.aux_plans
+    aux_plans = {id(aux_plan) for aux_plan, _ in plan.aux_plans}
+    entered = {"A": threading.Event(), "B": threading.Event()}
+    release = {"A": threading.Event(), "B": threading.Event()}
+    held: set[str] = set()
+    real_run_range = engine._run_range
+
+    def gated_run_range(run_plan, *args):
+        name = threading.current_thread().name
+        if id(run_plan) in aux_plans and name in entered and name not in held:
+            held.add(name)
+            entered[name].set()
+            assert release[name].wait(10)
+        return real_run_range(run_plan, *args)
+
+    monkeypatch.setattr(engine, "_run_range", gated_run_range)
+    enable_ledger(tmp_path / "ledger.jsonl")
+    results = {}
+
+    def run(name):
+        results[name] = execute_plan(plan, graph)
+
+    threads = {name: threading.Thread(target=run, args=(name,), name=name)
+               for name in ("A", "B")}
+    threads["A"].start()
+    assert entered["A"].wait(10)
+    threads["B"].start()
+    assert entered["B"].wait(10)
+    release["A"].set()
+    threads["A"].join(10)
+    release["B"].set()
+    threads["B"].join(10)
+    assert not any(t.is_alive() for t in threads.values())
+
+    direct = execute_plan(plan.aux_plans[0][0], graph)
+    ledger = disable_ledger()
+    runs = {r.run_id: r for r in Ledger(ledger.path).runs()}
+    assert runs[direct.run_id].aux is False
+    top_level = {results["A"].run_id, results["B"].run_id, direct.run_id}
+    assert all(r.aux == (run_id not in top_level)
+               for run_id, r in runs.items())
+    expected = reference.count_embeddings(graph, catalog.house())
+    assert results["A"].embedding_count == expected
+    assert results["B"].embedding_count == expected

@@ -51,7 +51,6 @@ from repro.runtime.engine import (
     ExecutionResult,
     execute_plan,
 )
-from repro.runtime.supervisor import RunPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -243,7 +242,6 @@ class TestEngineTracing:
         observe.enable("parallel")
         result = execute_plan(
             plan, graph, options=EngineOptions(workers=2),
-            policy=RunPolicy(supervised=True),
         )
         trace = observe.disable()
         assert result.embedding_count == expected

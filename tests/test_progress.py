@@ -4,7 +4,7 @@ Covers the :class:`ProgressEvent` arithmetic (weighted fraction, ETA,
 throughput, degenerate totals), heartbeat emission from supervised
 executions (one per completed chunk, monotone, exact final state), the
 ``repro_progress_*`` gauge publication, the console renderer, and the
-no-reporter/unsupervised silence contract.
+no-reporter silence contract.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.observe.progress import (
 )
 from repro.patterns import catalog
 from repro.runtime.engine import EngineOptions, execute_plan
-from repro.runtime.supervisor import RunPolicy
+from repro.runtime.supervisor import RunBudget, RunPolicy
 
 WORKERS = 2
 CHUNKS_PER_WORKER = 2
@@ -90,7 +90,6 @@ class TestSupervisedHeartbeats:
             options=EngineOptions(workers=1,
                                   chunks_per_worker=NUM_CHUNKS,
                                   progress=reporter),
-            policy=RunPolicy(supervised=True),
         )
         events = reporter.events
         assert len(events) == NUM_CHUNKS
@@ -120,7 +119,6 @@ class TestSupervisedHeartbeats:
             execute_plan(
                 plan, graph,
                 options=EngineOptions(progress=lambda e: None),
-                policy=RunPolicy(supervised=True),
             )
             snap = observe.REGISTRY.snapshot()
             assert snap["repro_progress_work_fraction"]["value"] == 1.0
@@ -135,21 +133,10 @@ class TestSupervisedHeartbeats:
         plan = compile_pattern(catalog.triangle(), profile)
         observe.REGISTRY.reset()
         try:
-            execute_plan(plan, graph, policy=RunPolicy(supervised=True))
+            execute_plan(plan, graph, policy=RunPolicy(budget=RunBudget()))
             assert observe.REGISTRY.get("repro_progress_chunks_done") is None
         finally:
             observe.REGISTRY.reset()
-
-    def test_unsupervised_run_emits_nothing(self, env):
-        graph, profile = env
-        plan = compile_pattern(catalog.triangle(), profile)
-        reporter = CollectingProgress()
-        execute_plan(
-            plan, graph,
-            options=EngineOptions(progress=reporter),
-            policy=RunPolicy(supervised=False),
-        )
-        assert reporter.events == []
 
 
 class TestConsoleProgress:

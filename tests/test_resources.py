@@ -63,7 +63,6 @@ def governed_policy(resources=None, checkpoint=None,
     return RunPolicy(
         budget=RunBudget(backoff_s=0.001, **budget_kwargs),
         checkpoint=checkpoint,
-        supervised=True,
         resources=resources if resources is not None else ResourceBudget(),
     )
 

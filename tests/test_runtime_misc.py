@@ -1,23 +1,40 @@
-"""Hardening tests: engine edge cases, generators, profiles, exceptions."""
+"""Hardening tests: engine edge cases, option spellings, generators,
+profiles, exceptions."""
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
+from repro.api.session import DecoMine
+from repro.baselines import reference
 from repro.compiler.build import COUNT_ACC
-from repro.compiler.pipeline import compile_spec
+from repro.compiler.pipeline import compile_pattern, compile_spec
 from repro.compiler.specs import DirectSpec
+from repro.costmodel import profile_graph
 from repro.exceptions import (
     BudgetExceededError,
     CompilationError,
     ConstraintError,
     DecompositionError,
+    ExecutionError,
     PatternError,
     ReproError,
 )
-from repro.graph.generators import cap_degrees, power_law
+from repro.graph.generators import cap_degrees, erdos_renyi, power_law
 from repro.patterns import catalog
 from repro.runtime.engine import EngineOptions, ExecutionResult, execute_plan
+from repro.runtime.supervisor import RunPolicy
+
+
+@pytest.fixture(scope="module")
+def house_case():
+    graph = erdos_renyi(16, 0.35, seed=3)
+    profile = profile_graph(graph, max_pattern_size=3, trials=60)
+    plan = compile_pattern(catalog.house(), profile)
+    expected = reference.count_embeddings(graph, catalog.house())
+    return graph, plan, expected
 
 
 class TestExceptions:
@@ -98,6 +115,117 @@ class TestExecutionResult:
     def test_zero_chunk_times(self):
         result = ExecutionResult({}, 1.0, 1, chunk_seconds=[0.0, 0.0])
         assert result.work_balance() == 1.0
+
+    def _telemetry_result(self):
+        return ExecutionResult(
+            {"acc_count": 12}, 0.5, 2,
+            kernel_stats={"cache_hits": 3, "cache_misses": 1,
+                          "intersect_merge": 7},
+            retries=4, resumed_chunks=2, pool_restarts=1,
+        )
+
+    @pytest.mark.parametrize("alias", [
+        "kernel_stats", "cache_hit_rate", "kernel_calls",
+        "retries", "resumed_chunks", "pool_restarts",
+    ])
+    def test_flat_alias_is_gone(self, alias):
+        """Telemetry lives on ``metrics`` only."""
+        with pytest.raises(AttributeError):
+            getattr(self._telemetry_result(), alias)
+
+    def test_metrics_access_works_without_warning(self):
+        result = self._telemetry_result()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert result.metrics.retries == 4
+            assert result.metrics.resumed_chunks == 2
+            assert result.metrics.pool_restarts == 1
+            assert result.metrics.kernel_stats["cache_hits"] == 3
+            assert result.metrics.cache_hit_rate == pytest.approx(0.75)
+            assert result.metrics.kernel_calls == 7
+
+
+class TestEngineOptionsValidation:
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"workers": -2}, "workers must be >= 1, got -2"),
+        ({"chunks_per_worker": 0}, "chunks_per_worker must be >= 1, got 0"),
+        ({"executor": "llvm"}, "unknown executor 'llvm'"),
+    ], ids=["workers-zero", "workers-negative", "chunks-zero",
+            "executor-unknown"])
+    def test_invalid_options_raise(self, kwargs, fragment):
+        with pytest.raises(ExecutionError, match=fragment):
+            EngineOptions(**kwargs)
+
+    def test_defaults(self):
+        options = EngineOptions()
+        assert options.workers == 1
+        assert options.chunks_per_worker == 4
+        assert options.executor == "codegen"
+        assert options.cache is True
+        assert options.faults is None
+        assert options.progress is None
+
+
+def _run_execute_plan(case, **kwargs):
+    graph, plan, _ = case
+    return execute_plan(plan, graph, **kwargs)
+
+
+def _run_session(case, **kwargs):
+    graph, _, _ = case
+    return DecoMine(graph, **kwargs)
+
+
+class TestSpellings:
+    """Execution knobs are spelled through ``EngineOptions`` and
+    ``RunPolicy``; any other keyword is Python's own ``TypeError``."""
+
+    @pytest.mark.parametrize("call, kwargs", [
+        (_run_execute_plan, {"workers": 2}),
+        (_run_execute_plan, {"checkpoint": "x.jsonl"}),
+        (_run_execute_plan, {"supervised": True}),
+        (_run_execute_plan, {"workers": 2, "supervised": True}),
+        (_run_execute_plan, {"bogus": 1}),
+        (_run_session, {"workers": 2}),
+        (_run_session, {"executor": "interpreter"}),
+        (_run_session, {"bogus": 1}),
+        (lambda case, **kwargs: RunPolicy(**kwargs), {"supervised": True}),
+    ], ids=["plan-workers", "plan-checkpoint", "plan-supervised",
+            "plan-workers+supervised", "plan-bogus", "session-workers",
+            "session-executor", "session-bogus", "policy-supervised"])
+    def test_unknown_keyword_is_a_type_error(self, house_case, call,
+                                             kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            call(house_case, **kwargs)
+
+    @pytest.mark.parametrize("entry", ["plan", "session"])
+    def test_current_spellings_work_without_warning(self, house_case,
+                                                    entry):
+        graph, plan, expected = house_case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if entry == "plan":
+                result = execute_plan(
+                    plan, graph, options=EngineOptions(workers=2,
+                                                       chunks_per_worker=3),
+                )
+                assert len(result.chunk_seconds) == 6
+                count = result.embedding_count
+            else:
+                session = DecoMine(graph, engine=EngineOptions(workers=1),
+                                   run_policy=RunPolicy())
+                count = session.get_pattern_count(catalog.house())
+        assert count == expected
+
+    def test_deprecated_attribute_spellings_are_gone(self, house_case):
+        graph, _, _ = house_case
+        session = DecoMine(graph, engine=EngineOptions(workers=3))
+        with pytest.raises(AttributeError):
+            session.workers
+        with pytest.raises(AttributeError):
+            session.executor
+        assert session.engine_options.workers == 3
 
 
 class TestEngineEdgeCases:

@@ -166,7 +166,7 @@ class TestSupervisedExecution:
     def test_serial_supervised_matches_unsupervised(self, case):
         graph, plan, expected = case
         result = execute_plan(plan, graph, policy=RunPolicy(
-            budget=RunBudget(), supervised=True))
+            budget=RunBudget()))
         assert result.embedding_count == expected
         assert result.ok
         assert result.metrics.retries == 0
@@ -267,7 +267,7 @@ class TestCheckpointResume:
         # Resume without faults: only the failed chunk re-executes.
         with CheckpointStore(path) as store:
             second = execute_plan(plan, graph, policy=RunPolicy(
-                checkpoint=store, supervised=True))
+                checkpoint=store))
         assert second.embedding_count == expected
         assert second.metrics.resumed_chunks == 3
         assert second.metrics.retries == 0
@@ -403,8 +403,7 @@ class TestNonPosixFallback:
         graph, plan, expected = case
         serial = execute_plan(plan, graph)
         monkeypatch.delattr(os, "fork")
-        result = execute_plan(plan, graph, options=EngineOptions(workers=3),
-                              policy=RunPolicy(supervised=False))
+        result = execute_plan(plan, graph, options=EngineOptions(workers=3))
         assert result.embedding_count == expected
         assert result.accumulators == serial.accumulators
         # One timing entry per chunk and merged kernel/cache counters.
@@ -432,8 +431,7 @@ class TestSessionPolicy:
 
         graph, _, expected = case
         policy = RunPolicy(budget=RunBudget(backoff_s=0.001),
-                           checkpoint=str(tmp_path / "session.jsonl"),
-                           supervised=True)
+                           checkpoint=str(tmp_path / "session.jsonl"))
         session = DecoMine(graph, run_policy=policy)
         assert session.get_pattern_count(catalog.house()) == expected
         assert session.last_result is not None

@@ -101,7 +101,7 @@ def test_seeded_oom_faults_bisect_to_exact_counts(name, env):
         plan, graph, ctx=ctx,
         options=OPTIONS,
         policy=RunPolicy(budget=RunBudget(backoff_s=0.001),
-                         supervised=True, resources=ResourceBudget()),
+                         resources=ResourceBudget()),
     )
     assert result.ok, [f.describe() for f in result.failures]
     assert result.embedding_count == expected
