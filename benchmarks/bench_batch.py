@@ -138,7 +138,7 @@ def run_experiment(smoke: bool = False):
         assert batched == expected, (
             f"batched counts diverged: {batched} != {expected}"
         )
-        sharing = session.last_batch_result.sharing
+        sharing = responses[0].metrics["sharing"]
         ratio = sequential_s / batched_s
         ratios.append(ratio)
         sequential_best = min(sequential_best, sequential_s)
@@ -154,9 +154,9 @@ def run_experiment(smoke: bool = False):
         f"{geomean(ratios):.2f}x"
     )
     table.add_note(
-        f"sharing: {sharing.plans_batched} plan executions answered "
-        f"{sharing.workload} queries ({sharing.plans_sequential} "
-        f"sequentially; {sharing.eliminated_fraction:.0%} eliminated, "
+        f"sharing: {sharing['plans_batched']} plan executions answered "
+        f"{sharing['workload']} queries ({sharing['plans_sequential']} "
+        f"sequentially; {sharing['eliminated_fraction']:.0%} eliminated, "
         f"gate >= {SHARING_GATE:.0%})"
     )
     table.add_note(
@@ -174,7 +174,7 @@ def run_experiment(smoke: bool = False):
         "sharing_gate": SHARING_GATE,
         "sequential_seconds": sequential_best,
         "batched_seconds": batched_best,
-        "sharing": sharing.as_dict(),
+        "sharing": sharing,
         "counts": warmup,
         "graph": {
             "vertices": graph.num_vertices,

@@ -12,8 +12,10 @@ drives it the way production traffic would:
   cache hit (100% warm hit rate — profile/compile/search never ran);
 * **admission burst** — a second daemon with a tiny budget
   (``max_inflight=1, max_pending=0``) takes a synchronized 8-client
-  burst; at least one submission must be rejected with an
-  ``admission rejected`` response (and every accepted one stays exact);
+  burst, each client submitting a *different* pattern so none can
+  coalesce onto another's run; at least one submission must be
+  rejected with an ``admission rejected`` response (and every accepted
+  one stays exact against its own pattern's count);
 * **clean shutdown** — the daemon drains on the shutdown op, unlinks
   its socket, and the audit requires zero leaked shared-memory
   segments and zero leaked cancel tokens.
@@ -68,7 +70,11 @@ PATTERNS = {
 }
 
 NUM_WARM_CLIENTS = 3
-BURST_CLIENTS = 8
+#: One distinct pattern per burst client: identical concurrent requests
+#: would coalesce onto one run and never reach admission control.
+BURST_PATTERNS = ("triangle", "diamond", "house", "gem", "bowtie", "net",
+                  "cycle5", "clique4")
+BURST_CLIENTS = len(BURST_PATTERNS)
 BURST_ATTEMPTS = 5
 
 
@@ -192,8 +198,8 @@ def run_admission_burst(graph, tmp: str, expected: dict) -> dict:
     """Synchronized burst against max_inflight=1/max_pending=0.
 
     With one execution slot and a zero-length queue, any overlapping
-    pair of submissions forces a rejection.  A barrier releases all
-    clients at once; in the (astronomically unlikely) event that the
+    pair of distinct submissions forces a rejection.  A barrier releases
+    all clients at once; in the (astronomically unlikely) event that the
     scheduler fully serializes them, the burst retries.
     """
     socket_path = str(Path(tmp) / "tiny.sock")
@@ -201,7 +207,7 @@ def run_admission_burst(graph, tmp: str, expected: dict) -> dict:
                           max_pending=0)
     server = MiningServer(graph, config)
     server.start()
-    rejections = 0
+    rejections = coalesced = 0
     accepted_exact = True
     attempts = 0
     try:
@@ -213,7 +219,8 @@ def run_admission_burst(graph, tmp: str, expected: dict) -> dict:
                 with Client(socket_path,
                             client_id=f"burst-{index}") as client:
                     barrier.wait()
-                    outcomes[index] = client.submit("net")
+                    outcomes[index] = client.submit(
+                        PATTERNS[BURST_PATTERNS[index]]())
 
             threads = [threading.Thread(target=burst, args=(i,))
                        for i in range(BURST_CLIENTS)]
@@ -225,18 +232,22 @@ def run_admission_burst(graph, tmp: str, expected: dict) -> dict:
                 1 for r in outcomes
                 if r is not None and not r.ok
                 and "admission rejected" in (r.error or ""))
-            accepted = [r for r in outcomes if r is not None and r.ok]
-            accepted_exact = all(r.count == expected["net"]
-                                 for r in accepted)
+            accepted = [(name, r)
+                        for name, r in zip(BURST_PATTERNS, outcomes)
+                        if r is not None and r.ok]
+            accepted_exact = all(r.count == expected[name]
+                                 for name, r in accepted)
             if rejections and accepted:
                 break
     finally:
+        coalesced = server.stats["coalesced"]
         server.close()
     ok = bool(rejections >= 1 and accepted_exact)
     return {
         "burst_clients": BURST_CLIENTS,
         "attempts": attempts,
         "rejections": rejections,
+        "coalesced": coalesced,
         "accepted_exact": accepted_exact,
         "daemon_rejections_counter": server.stats["rejections"],
         "ok": ok,

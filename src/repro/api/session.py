@@ -31,7 +31,7 @@ from repro.compiler.plancache import PlanCache, plan_key
 from repro.compiler.search import SearchOptions
 from repro.compiler.specs import Constraint, DecompSpec, DirectSpec
 from repro.costmodel import CostModel, CostProfile, get_model, profile_graph
-from repro.exceptions import PatternError, ReproError
+from repro.exceptions import ExecutionError, PatternError, ReproError
 from repro.graph.csr import CSRGraph
 from repro.graph.transform import orient
 from repro.observe.calibration import calibrating, record_plan_execution
@@ -80,10 +80,9 @@ class DecoMine:
         A :class:`~repro.runtime.supervisor.RunPolicy` (or bare
         :class:`~repro.runtime.supervisor.RunBudget`) applied to every
         counting execution: retry/backoff caps, deadlines, and an
-        optional checkpoint for killed-run resume.  ``last_result``
-        keeps the most recent :class:`ExecutionResult`, whose
-        ``failures`` list and ``metrics`` view surface what the
-        supervisor had to do.
+        optional checkpoint for killed-run resume.  Each
+        :class:`MiningResponse` carries what the supervisor had to do
+        (``metrics``, ``cancelled``, ``salvage``, ``error``).
 
     When a calibration recorder is active (``observe.calibrate()``),
     every counting execution logs its per-model cost estimate against
@@ -115,30 +114,9 @@ class DecoMine:
             self.plan_cache = plan_cache
         else:
             self.plan_cache = PlanCache(plan_cache)
-        #: The most recent :class:`MiningResponse` (every public entry
-        #: point routes through :meth:`submit`).
-        self.last_response: MiningResponse | None = None
-        #: The most recent :class:`~repro.runtime.batchrun.BatchResult`
-        #: from :meth:`submit_batch` (node results, sharing report).
-        self.last_batch_result = None
-        self._last_result: ExecutionResult | None = None
-        #: Provenance of the most recent ``plan_for``: the persistent
-        #: cache key and whether any cache (in-memory or on-disk)
-        #: supplied the plan.
-        self.last_plan_key: str = ""
-        self.last_plan_cache_hit: bool = False
         self._profile = profile
         self._profile_seed = profile_seed
         self._plan_cache: dict = {}
-
-    @property
-    def last_result(self) -> ExecutionResult | None:
-        """The most recent raw :class:`ExecutionResult`.
-
-        Alias kept from the pre-request/response API;
-        :attr:`last_response` is the richer view.
-        """
-        return self._last_result
 
     # ------------------------------------------------------------------
     # Profiling
@@ -170,16 +148,12 @@ class DecoMine:
 
         Consults the in-memory cache first, then the persistent
         :attr:`plan_cache` when one is attached (storing cold compiles
-        back into it).  ``last_plan_key``/``last_plan_cache_hit`` record
-        the provenance of the returned plan.
+        back into it).
         """
-        plan, key, hit = self._plan_with_provenance(
+        return self._plan_with_provenance(
             pattern, mode, induced, tuple(constraints),
             options if options is not None else self.engine_options,
-        )
-        self.last_plan_key = key
-        self.last_plan_cache_hit = hit
-        return plan
+        )[0]
 
     def _plan_with_provenance(
         self,
@@ -241,12 +215,6 @@ class DecoMine:
             events.append((key, hit))
         return plan, key, hit
 
-    def _plan(self, pattern, mode, induced, constraints, options, events):
-        plan, _key, _hit = self._plan_with_provenance(
-            pattern, mode, induced, constraints, options, events
-        )
-        return plan
-
     def _profile_for(self, orientation: str) -> CostProfile:
         """The graph profile, with orientation stats attached on demand.
 
@@ -285,7 +253,9 @@ class DecoMine:
         this session got the plan from a cache, and whether a persistent
         entry is currently published under that key.
         """
-        plan = self.plan_for(pattern, induced=induced)
+        plan, key, hit = self._plan_with_provenance(
+            pattern, "count", induced, (), self.engine_options,
+        )
         return {
             "pattern": pattern.name or repr(pattern),
             "mode": plan.mode,
@@ -296,10 +266,10 @@ class DecoMine:
             "compile_seconds": float(plan.compile_seconds),
             "plan": plan.describe(),
             "plan_cache": {
-                "key": self.last_plan_key,
-                "hit": self.last_plan_cache_hit,
+                "key": key,
+                "hit": hit,
                 "persistent": (
-                    self.plan_cache.contains(self.last_plan_key)
+                    self.plan_cache.contains(key)
                     if self.plan_cache is not None else False
                 ),
                 "path": (str(self.plan_cache.path)
@@ -346,7 +316,8 @@ class DecoMine:
 
         Invalid requests and failed compilations raise; *incomplete
         executions* (cancelled, unrecovered chunks) return a response
-        with ``ok=False`` and ``count=None`` plus the salvage view.
+        with ``ok=False``, ``count=None``, the salvage view and an
+        ``error`` saying why.
         """
         if not isinstance(request, MiningRequest):
             raise ReproError("submit() takes a MiningRequest")
@@ -361,16 +332,20 @@ class DecoMine:
         self._check(request.pattern)
         options = (request.engine if request.engine is not None
                    else self.engine_options)
+        # Constrained runs get their own deadline but not the session
+        # policy; mine runs are never supervised (see _execute).
+        policy = self.run_policy if request.mode == "count" else None
+        if request.deadline_s is not None:
+            policy = (policy or RunPolicy()).with_deadline(request.deadline_s)
         events: list[tuple[str, bool]] = []
         started = time.perf_counter()
         result: ExecutionResult | None = None
         if request.mode == "count":
-            policy = self._policy_for(request, self.run_policy)
             count, result = self._count_request(request, options, policy,
                                                 events)
         elif request.mode == "mine":
-            plan = self._plan(request.pattern, "emit", False, (), options,
-                              events)
+            plan, _, _ = self._plan_with_provenance(
+                request.pattern, "emit", False, (), options, events)
             emitter = self._make_emitter(plan, process_partial_embedding)
             ctx = ExecutionContext(plan.root.num_tables, emit=emitter)
             result = self._execute(plan, ctx, options=options)
@@ -380,19 +355,18 @@ class DecoMine:
                 Constraint(pred=index, vertices=tuple(vertices))
                 for index, vertices in enumerate(request.constraints)
             )
-            plan = self._plan(request.pattern, "count", False, specs,
-                              options, events)
+            plan, _, _ = self._plan_with_provenance(
+                request.pattern, "count", False, specs, options, events)
             ctx = ExecutionContext(
                 plan.root.num_tables, predicates=list(predicates)
             )
             # Constrained plans run serial and unoriented: predicates
             # observe original vertex ids and close over local state.
             constrained = replace(options, workers=1, orientation="none")
-            policy = self._policy_for(request, None)
             result = self._execute(plan, ctx, options=constrained,
                                    policy=policy)
             count = result.raw_count if result.ok else None
-        response = MiningResponse(
+        return MiningResponse(
             request_id=request.request_id or new_run_id(),
             client_id=request.client_id,
             ok=result.ok if result is not None else True,
@@ -407,9 +381,8 @@ class DecoMine:
             cancelled=result.cancelled if result is not None else None,
             salvage=result.salvage if result is not None else None,
             metrics=(result.metrics.as_dict() if result is not None else {}),
+            error=result.error if result is not None else None,
         )
-        self.last_response = response
-        return response
 
     # ------------------------------------------------------------------
     # submit_batch: multi-query DAG execution
@@ -430,7 +403,9 @@ class DecoMine:
         All requests must be ``mode="count"`` and share at most one
         engine override; the tightest per-request deadline governs the
         whole batch.  Returns one :class:`MiningResponse` per request,
-        in submission order, all stamped with the same ``batch_id``.
+        in submission order, all stamped with the same ``batch_id``;
+        each carries the batch's sharing report under
+        ``metrics["sharing"]``.
         """
         from repro.runtime.batchrun import execute_batch
 
@@ -458,12 +433,7 @@ class DecoMine:
         deadlines = [request.deadline_s for request in requests
                      if request.deadline_s is not None]
         if deadlines:
-            base = policy if policy is not None else RunPolicy()
-            budget = base.budget if base.budget is not None else RunBudget()
-            policy = replace(
-                base,
-                budget=replace(budget, deadline_s=min(deadlines)),
-            )
+            policy = (policy or RunPolicy()).with_deadline(min(deadlines))
         started = time.perf_counter()
         batch_plan = compile_batch(
             self, [(request.pattern, request.induced)
@@ -473,8 +443,8 @@ class DecoMine:
         result = execute_batch(
             batch_plan, self.graph, options=options, policy=policy,
         )
-        self.last_batch_result = result
         seconds = time.perf_counter() - started
+        sharing = result.sharing.as_dict()
         query_of: dict[int, object] = {}
         for query in batch_plan.queries:
             for position in query.members:
@@ -497,9 +467,8 @@ class DecoMine:
                 cancelled=result.cancelled,
                 error=result.error if count is None else None,
                 batch_id=result.batch_id,
+                metrics={"sharing": dict(sharing)},
             ))
-        if responses:
-            self.last_response = responses[-1]
         return responses
 
     def get_pattern_counts(
@@ -524,24 +493,12 @@ class DecoMine:
             counts.append(response.count)
         return counts
 
-    def _unwrap_count(self, response: MiningResponse) -> int:
-        if response.count is not None:
-            return response.count
-        # Incomplete run: re-raise the legacy ExecutionError with the
-        # failure summary (embedding_count raises on unrecovered chunks).
-        assert self._last_result is not None
-        return self._last_result.embedding_count
-
-    def _policy_for(self, request: MiningRequest, base):
-        """The run policy for one request: the base plus its deadline."""
-        if request.deadline_s is None:
-            return base
-        policy = base if base is not None else RunPolicy()
-        budget = policy.budget if policy.budget is not None else RunBudget()
-        return replace(
-            policy,
-            budget=replace(budget, deadline_s=request.deadline_s),
-        )
+    @staticmethod
+    def _unwrap_count(response: MiningResponse) -> int:
+        """The response's count; an incomplete run raises its error."""
+        if response.count is None:
+            raise ExecutionError(response.error)
+        return response.count
 
     def _count_request(self, request, options, policy, events):
         pattern = request.pattern
@@ -554,16 +511,19 @@ class DecoMine:
                 count = self.graph.num_vertices
             return count, None
         if not request.induced:
-            plan = self._plan(pattern, "count", False, (), options, events)
+            plan, _, _ = self._plan_with_provenance(
+                pattern, "count", False, (), options, events)
             return self._run_count(plan, options, policy)
         return self._vertex_induced_count(pattern, options, policy, events)
 
     def _vertex_induced_count(self, pattern, options, policy, events):
         if pattern.is_clique and not pattern.is_labeled:
             # A clique's vertex- and edge-induced counts coincide.
-            plan = self._plan(pattern, "count", False, (), options, events)
+            plan, _, _ = self._plan_with_provenance(
+                pattern, "count", False, (), options, events)
             return self._run_count(plan, options, policy)
-        direct_plan = self._plan(pattern, "count", True, (), options, events)
+        direct_plan, _, _ = self._plan_with_provenance(
+            pattern, "count", True, (), options, events)
         missing_edges = pattern.n * (pattern.n - 1) // 2 - pattern.num_edges
         if pattern.is_labeled or not (pattern.n <= 5 or missing_edges <= 3):
             # Conversion operates on unlabeled patterns, and its host
@@ -573,7 +533,8 @@ class DecoMine:
             return self._run_count(direct_plan, options, policy)
         requirements = edge_induced_requirements(pattern)
         host_plans = [
-            self._plan(host, "count", False, (), options, events)
+            self._plan_with_provenance(
+                host, "count", False, (), options, events)[0]
             for host, _ in requirements
         ]
         indirect_cost = sum(plan.cost for plan in host_plans)
@@ -619,7 +580,6 @@ class DecoMine:
         result = execute_plan(
             plan, self.graph, ctx=ctx, options=options, policy=policy,
         )
-        self._last_result = result
         if plan.mode == "count" and calibrating():
             record_plan_execution(plan, self.profile, result.seconds)
         return result
@@ -713,10 +673,7 @@ class DecoMine:
             ),
             predicates=[predicate for predicate, _ in constraints],
         )
-        if response.count is None:
-            assert self._last_result is not None
-            self._last_result.embedding_count  # raises with the summary
-        return response.count
+        return self._unwrap_count(response)
 
     # ------------------------------------------------------------------
     def _check(self, pattern: Pattern) -> None:

@@ -31,6 +31,7 @@ import json
 import sys
 import time
 
+from repro.api.messages import MiningRequest
 from repro.api.session import DecoMine
 from repro.exceptions import ExecutionError, PatternError, ReproError
 from repro.runtime.engine import EngineOptions
@@ -470,47 +471,46 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         try:
             with _sigint_cancels(resources is not None):
-                value = session.get_pattern_count(
-                    pattern, induced=args.induced
+                response = session.submit(
+                    MiningRequest(pattern=pattern, induced=args.induced)
                 )
         except ExecutionError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            result = session.last_result
-            if result is not None:
-                for failure in result.failures:
-                    print(f"  {failure.describe()}", file=sys.stderr)
-                cancelled = getattr(result, "cancelled", None)
-                salvage = getattr(result, "salvage", None)
-                if cancelled is not None:
-                    fraction = (salvage or {}).get("fraction")
-                    done = "" if fraction is None else (
-                        f" after {fraction:.0%} of the work"
-                    )
-                    print(f"run cancelled ({cancelled}){done}",
-                          file=sys.stderr)
-                if args.resume:
-                    print(f"completed chunks are checkpointed in "
-                          f"{args.resume}; rerun the same command with "
-                          f"--resume {args.resume} to continue",
-                          file=sys.stderr)
             return 2
         finally:
             if tracing:
                 _write_trace(args.trace, args.chrome_trace)
+        if not response.ok:
+            print(f"error: {response.error}", file=sys.stderr)
+            salvage = response.salvage or {}
+            for lo, hi in salvage.get("unfinished", ()):
+                print(f"  chunk [{lo}, {hi}) unfinished", file=sys.stderr)
+            if response.cancelled is not None:
+                fraction = salvage.get("fraction")
+                done = "" if fraction is None else (
+                    f" after {fraction:.0%} of the work"
+                )
+                print(f"run cancelled ({response.cancelled}){done}",
+                      file=sys.stderr)
+            if args.resume:
+                print(f"completed chunks are checkpointed in "
+                      f"{args.resume}; rerun the same command with "
+                      f"--resume {args.resume} to continue",
+                      file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - started
         kind = "vertex-induced" if args.induced else "edge-induced"
-        print(f"{pattern.name}: {value} {kind} embeddings "
+        print(f"{pattern.name}: {response.count} {kind} embeddings "
               f"({elapsed:.2f}s)")
-        result = session.last_result
-        if run_policy is not None and result is not None:
-            metrics = result.metrics
-            line = (f"supervisor: {metrics.retries} retries, "
-                    f"{metrics.resumed_chunks} chunks resumed from "
-                    f"checkpoint, {metrics.pool_restarts} pool restarts")
+        metrics = response.metrics
+        if run_policy is not None and metrics:
+            line = (f"supervisor: {metrics['retries']} retries, "
+                    f"{metrics['resumed_chunks']} chunks resumed from "
+                    f"checkpoint, {metrics['pool_restarts']} pool restarts")
             if resources is not None:
-                line += (f", {metrics.bisections} bisections, "
-                         f"{metrics.watchdog_kills} watchdog kills, "
-                         f"{metrics.frontier_downshifts} frontier "
+                line += (f", {metrics['bisections']} bisections, "
+                         f"{metrics['watchdog_kills']} watchdog kills, "
+                         f"{metrics['frontier_downshifts']} frontier "
                          f"downshifts")
             print(line, file=sys.stderr)
         if args.ledger is not None:
@@ -620,8 +620,6 @@ def _run_serve(args, graph) -> int:
 
 def _run_batch(args, session: DecoMine) -> int:
     """``repro batch`` (local): one DAG run over the whole workload."""
-    from repro.api.messages import MiningRequest
-
     patterns = [parse_pattern(text) for text in args.pattern.split(",")]
     requests = [
         MiningRequest(pattern=pattern, induced=args.induced,
@@ -635,10 +633,7 @@ def _run_batch(args, session: DecoMine) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    result = session.last_batch_result
-    sharing = result.sharing.as_dict() if result is not None else None
-    return _print_batch(args, [p.name for p in patterns], responses,
-                        sharing, elapsed)
+    return _print_batch(args, [p.name for p in patterns], responses, elapsed)
 
 
 def _run_batch_remote(args) -> int:
@@ -665,12 +660,12 @@ def _run_batch_remote(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         elapsed = time.perf_counter() - started
-    return _print_batch(args, [p.name for p in patterns], responses,
-                        None, elapsed)
+    return _print_batch(args, [p.name for p in patterns], responses, elapsed)
 
 
-def _print_batch(args, names, responses, sharing, elapsed) -> int:
+def _print_batch(args, names, responses, elapsed) -> int:
     ok = all(response.ok for response in responses)
+    sharing = responses[0].metrics.get("sharing") if responses else None
     if args.format == "json":
         payload = {
             "ok": ok,
@@ -889,11 +884,11 @@ def _run_perf(args) -> int:
 def _sigint_cancels(governed: bool):
     """Route Ctrl-C through the cooperative cancel token.
 
-    The first SIGINT flips the active run's token ("interrupt"): in-flight
+    The first SIGINT flips every live run's token ("interrupt"): in-flight
     chunks stop at their next poll, completed chunks stay checkpointed, and
-    the ExecutionError path above prints the salvage fraction plus the
-    resume command.  A second SIGINT — or one arriving when no token is
-    active — falls back to the ordinary KeyboardInterrupt.
+    the incomplete-response path above prints the salvage fraction plus
+    the resume command.  A second SIGINT — or one arriving when no token
+    is live — falls back to the ordinary KeyboardInterrupt.
     """
     if not governed:
         yield

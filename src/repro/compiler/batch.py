@@ -243,7 +243,7 @@ class _BatchBuilder:
         if key in self.nodes:
             return key
         if plan is None:
-            plan = self.session._plan(
+            plan, _, _ = self.session._plan_with_provenance(
                 pattern, "count", induced, (), self.options, events
             )
         deps = []
@@ -317,7 +317,7 @@ class _BatchBuilder:
                 self._node_plan_for_accounting(key)
             )
             return ((1, key),)
-        direct_plan = session._plan(
+        direct_plan, _, _ = session._plan_with_provenance(
             pattern, "count", True, (), self.options, events
         )
         missing = pattern.n * (pattern.n - 1) // 2 - pattern.num_edges
@@ -329,7 +329,8 @@ class _BatchBuilder:
             return ((1, key),)
         requirements = edge_induced_requirements(pattern)
         host_plans = [
-            session._plan(host, "count", False, (), self.options, events)
+            session._plan_with_provenance(
+                host, "count", False, (), self.options, events)[0]
             for host, _ in requirements
         ]
         indirect_cost = sum(plan.cost for plan in host_plans)

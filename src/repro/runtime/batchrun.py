@@ -41,7 +41,7 @@ from repro.observe.ledger import new_run_id, run_tags
 from repro.observe.trace import span
 from repro.runtime.engine import EngineOptions, execute_plan
 from repro.runtime.setops import DEFAULT_CACHE_CAPACITY, SetOpCache
-from repro.runtime.supervisor import RunBudget, RunPolicy
+from repro.runtime.supervisor import RunPolicy
 
 __all__ = ["BatchNodeResult", "BatchResult", "execute_batch"]
 
@@ -91,16 +91,6 @@ def _shared_cache(options: EngineOptions):
     if isinstance(cache, int) and not isinstance(cache, bool) and cache > 0:
         return SetOpCache(cache)
     return None
-
-
-def _node_policy(policy, deadline_at):
-    """The per-node policy: the batch policy with the remaining budget."""
-    if deadline_at is None:
-        return policy
-    remaining = max(deadline_at - time.monotonic(), 0.001)
-    base = policy if policy is not None else RunPolicy()
-    budget = base.budget if base.budget is not None else RunBudget()
-    return replace(base, budget=replace(budget, deadline_s=remaining))
 
 
 def _trivial_count(graph, pattern) -> int:
@@ -167,7 +157,11 @@ def execute_batch(
                     # Same rule as the session: relabeling without
                     # oriented ops in the plan buys nothing.
                     node_options = replace(options, orientation="none")
-                node_policy = _node_policy(policy, deadline_at)
+                node_policy = policy
+                if deadline_at is not None:
+                    # Each node runs on what is left of the batch deadline.
+                    node_policy = policy.with_deadline(
+                        max(deadline_at - time.monotonic(), 0.001))
                 with span("batch-node", pattern=node.label,
                           kind=node.kind):
                     result = execute_plan(

@@ -264,17 +264,22 @@ class ExecutionResult:
         return self.accumulators.get(COUNT_ACC, 0)
 
     @property
+    def error(self) -> str | None:
+        """Why the count is not meaningful (None when every chunk ran)."""
+        if not self.failures:
+            return None
+        summary = "; ".join(f.describe() for f in self.failures[:3])
+        more = len(self.failures) - 3
+        if more > 0:
+            summary += f"; +{more} more"
+        return (f"execution incomplete — {len(self.failures)} chunk(s) "
+                f"unrecovered, the partial count is not meaningful "
+                f"({summary})")
+
+    @property
     def embedding_count(self) -> int:
         if self.failures:
-            summary = "; ".join(f.describe() for f in self.failures[:3])
-            more = len(self.failures) - 3
-            if more > 0:
-                summary += f"; +{more} more"
-            raise ExecutionError(
-                f"execution incomplete — {len(self.failures)} chunk(s) "
-                f"unrecovered, the partial count is not meaningful "
-                f"({summary})"
-            )
+            raise ExecutionError(self.error)
         raw = self.raw_count
         if raw % self.divisor != 0:
             raise ReproError(
@@ -593,21 +598,16 @@ def _execute(plan, graph, ctx, options, policy_budget, checkpoint,
         deadline_at = time.monotonic() + policy_budget.deadline_s
 
     # Resource governor: one cancel token per governed execution, owned
-    # here (created before the span, unlinked in the finally below) and
-    # exposed to SIGINT handlers through the active-token slot.
+    # here (created before the span, closed by _GovernorScope).  While
+    # open it is a live token, which is what a SIGINT flips.
     governor = None
     gov_token = None
     saved_resources = None
     if resources is not None:
-        from repro.runtime.resources import (
-            CancelToken,
-            ResourceGovernor,
-            set_active_token,
-        )
+        from repro.runtime.resources import CancelToken, ResourceGovernor
 
         gov_token = CancelToken.create()
         governor = ResourceGovernor(resources, gov_token)
-        set_active_token(gov_token)
         saved_resources = (ctx.resources, ctx.poll_cancel)
         ctx.resources = governor
         ctx.poll_cancel = governor.poll
@@ -758,10 +758,10 @@ def _execute(plan, graph, ctx, options, policy_budget, checkpoint,
 
 
 class _GovernorScope:
-    """Tears a governed execution's resource plumbing back down: clears
-    the SIGINT active-token slot, restores the caller's context hooks,
-    and unlinks the shared cancel-token segment — on every exit path
-    (success, ExecutionError, KeyboardInterrupt)."""
+    """Tears a governed execution's resource plumbing back down: restores
+    the caller's context hooks and closes the cancel token (unlinking
+    its shared segment) — on every exit path (success, ExecutionError,
+    KeyboardInterrupt)."""
 
     def __init__(self, ctx, saved_resources, token) -> None:
         self.ctx = ctx
@@ -772,9 +772,6 @@ class _GovernorScope:
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        from repro.runtime.resources import set_active_token
-
-        set_active_token(None)
         self.ctx.resources, self.ctx.poll_cancel = self.saved_resources
         self.token.close()
         return False

@@ -150,12 +150,13 @@ class ResourceBudget:
         return max(1, self.max_frontier_bytes // FRONTIER_ROW_BYTES)
 
 
-#: Tokens created by THIS process and not yet unlinked: name -> token.
+#: Tokens created by THIS process and not yet closed: key -> token (the
+#: segment name, or a ``local-`` label for in-process fallback tokens).
 _CREATED: dict[str, "CancelToken"] = {}
 
 
 def active_tokens() -> list[str]:
-    """Segment names this process created and has not yet unlinked."""
+    """Tokens this process created and has not yet closed, by key."""
     return sorted(_CREATED)
 
 
@@ -188,12 +189,18 @@ class CancelToken:
 
             segment = shared_memory.SharedMemory(create=True, size=2)
         except (ImportError, OSError):
-            return cls(bytearray(2))
-        segment.buf[0] = 0
-        segment.buf[1] = 0
-        token = cls(segment.buf, segment, segment.name, owner=True)
-        _CREATED[segment.name] = token
+            token = cls(bytearray(2), owner=True)
+        else:
+            segment.buf[0] = 0
+            segment.buf[1] = 0
+            token = cls(segment.buf, segment, segment.name, owner=True)
+        _CREATED[token._key] = token
         return token
+
+    @property
+    def _key(self) -> str:
+        """Registry key: the segment name, or an in-process label."""
+        return self.name or f"local-{id(self):x}"
 
     # -------------- flag protocol --------------
     @property
@@ -241,6 +248,8 @@ class CancelToken:
         """Owner: unlink the segment. Attached copies: drop the mapping."""
         segment, self._segment = self._segment, None
         self._buf = bytearray(2)  # keep late polls harmless
+        if self._owner:
+            _CREATED.pop(self._key, None)
         if segment is None:
             return
         try:
@@ -248,7 +257,6 @@ class CancelToken:
         except (OSError, BufferError):
             pass
         if self._owner:
-            _CREATED.pop(self.name, None)
             try:
                 segment.unlink()
             except (FileNotFoundError, OSError):
@@ -360,29 +368,21 @@ class ResourceGovernor:
 
 
 # ----------------------------------------------------------------------
-# SIGINT bridge: the CLI flips whatever token is currently executing.
+# SIGINT bridge: a signal is process-wide, so it flips every live token.
 # ----------------------------------------------------------------------
-
-_ACTIVE_TOKEN: CancelToken | None = None
-
-
-def set_active_token(token: CancelToken | None) -> None:
-    """Install the token of the currently-executing supervised run (the
-    engine brackets each execution with set/clear)."""
-    global _ACTIVE_TOKEN
-    _ACTIVE_TOKEN = token
 
 
 def request_cancel(reason: str = "interrupt") -> bool:
-    """Flip the active run's cancel token (False when no run is active).
+    """Flip every live cancel token (False when no run is live).
 
-    Signal-handler safe: one byte write, no allocation, no locks.
+    The live tokens are the ones :func:`active_tokens` lists: each
+    governed execution owns one from start to finish.  Signal-handler
+    safe: one byte write per token, no locks.
     """
-    token = _ACTIVE_TOKEN
-    if token is None:
-        return False
-    token.cancel(reason)
-    return True
+    tokens = tuple(_CREATED.values())
+    for token in tokens:
+        token.cancel(reason)
+    return bool(tokens)
 
 
 # ----------------------------------------------------------------------

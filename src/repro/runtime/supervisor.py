@@ -162,6 +162,11 @@ class RunPolicy:
     #: bisection ladder).
     resources: "object | None" = None
 
+    def with_deadline(self, seconds: float) -> "RunPolicy":
+        """This policy with its budget's ``deadline_s`` set to ``seconds``."""
+        budget = self.budget if self.budget is not None else RunBudget()
+        return replace(self, budget=replace(budget, deadline_s=seconds))
+
 
 @dataclass(frozen=True)
 class ChunkFailure:

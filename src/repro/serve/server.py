@@ -30,7 +30,7 @@ import re
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.api.messages import (
@@ -272,9 +272,15 @@ class MiningServer:
         self._bump("requests")
         self._client_counter(request.client_id, "requests")
         request = self._apply_default_deadline(request)
+
+        def run() -> MiningResponse:
+            [response] = self._admit_and_run(
+                [request], lambda batch: [self.session.submit(batch[0])])
+            return response
+
         key = self._coalesce_key(request)
         if key is None:
-            return self._execute(request)
+            return run()
         while True:
             with self._coalesce_lock:
                 entry = self._inflight_runs.get(key)
@@ -284,7 +290,7 @@ class MiningServer:
                     self._inflight_runs[key] = entry
             if leading:
                 try:
-                    response = self._execute(request)
+                    response = run()
                     entry.response = response
                     return response
                 finally:
@@ -301,9 +307,7 @@ class MiningServer:
                     "requests answered by joining an identical "
                     "in-flight run",
                 ).inc()
-                from dataclasses import replace as _replace
-
-                return _replace(
+                return replace(
                     response,
                     request_id=request.request_id or response.request_id,
                     client_id=request.client_id,
@@ -314,13 +318,8 @@ class MiningServer:
 
     def _apply_default_deadline(self, request: MiningRequest) -> MiningRequest:
         if request.deadline_s is None and self.config.default_deadline_s:
-            request = MiningRequest(
-                pattern=request.pattern, mode=request.mode,
-                induced=request.induced, constraints=request.constraints,
-                engine=request.engine,
-                deadline_s=self.config.default_deadline_s,
-                client_id=request.client_id, request_id=request.request_id,
-            )
+            request = replace(request,
+                              deadline_s=self.config.default_deadline_s)
         return request
 
     def _coalesce_key(self, request: MiningRequest) -> "tuple | None":
@@ -340,50 +339,13 @@ class MiningServer:
             request.deadline_s,
         )
 
-    def _execute(self, request: MiningRequest) -> MiningResponse:
-        if not self._admit():
-            self._bump("rejections")
-            self._client_counter(request.client_id, "rejections")
-            om.counter("repro_serve_rejections_total",
-                       "requests rejected by admission control").inc()
-            return MiningResponse(
-                request_id=request.request_id or new_run_id(),
-                client_id=request.client_id,
-                ok=False,
-                mode=request.mode,
-                error=(f"admission rejected: {self.config.max_inflight} "
-                       f"in flight and {self.config.max_pending} pending"),
-            )
-        try:
-            with self._state_lock:
-                self._inflight += 1
-                om.gauge("repro_serve_inflight",
-                         "requests currently executing").set(self._inflight)
-            with run_tags(client=request.client_id,
-                          request=request.request_id or None):
-                response = self.session.submit(request)
-        finally:
-            with self._state_lock:
-                self._inflight -= 1
-                om.gauge("repro_serve_inflight",
-                         "requests currently executing").set(self._inflight)
-            self._slots.release()
-        self._bump("responses")
-        om.counter("repro_serve_requests_total",
-                   "requests accepted and executed").inc()
-        if response.plan_cache_hit:
-            self._bump("cache_hits")
-            om.counter("repro_serve_cache_hits_total",
-                       "responses served from a plan cache").inc()
-        return response
-
     def handle_batch(self, requests) -> list[MiningResponse]:
         """Execute a request batch as one shared-subpattern DAG run.
 
         The whole batch consumes *one* execution slot — a batch is one
         unit of work for admission purposes, exactly as it is one DAG
         run for the engine.  On rejection every request in the batch
-        gets the same ``ok=False`` admission response.
+        gets its own ``ok=False`` admission response.
         """
         requests = list(requests)
         if not requests:
@@ -392,15 +354,33 @@ class MiningServer:
             self._bump("requests")
             self._client_counter(request.client_id, "requests")
         requests = [self._apply_default_deadline(r) for r in requests]
+
+        def run_batch(batch) -> list[MiningResponse]:
+            responses = self.session.submit_batch(batch)
+            self._bump("batches")
+            om.counter("repro_serve_batches_total",
+                       "request batches executed as one DAG run").inc()
+            return responses
+
+        return self._admit_and_run(requests, run_batch)
+
+    def _admit_and_run(self, requests, call) -> list[MiningResponse]:
+        """Admit ``requests`` as one unit of work and run ``call`` on them.
+
+        The single admission path of the daemon: one execution slot, the
+        in-flight gauge, the ledger client tag (plus the request id when
+        the unit is one request) and the response counters.  A rejection
+        returns one ``ok=False`` admission response per request.
+        """
         if not self._admit():
-            for request in requests:
-                self._bump("rejections")
-                self._client_counter(request.client_id, "rejections")
             om.counter("repro_serve_rejections_total",
                        "requests rejected by admission control"
                        ).inc(len(requests))
-            return [
-                MiningResponse(
+            rejected = []
+            for request in requests:
+                self._bump("rejections")
+                self._client_counter(request.client_id, "rejections")
+                rejected.append(MiningResponse(
                     request_id=request.request_id or new_run_id(),
                     client_id=request.client_id,
                     ok=False,
@@ -408,25 +388,23 @@ class MiningServer:
                     error=(f"admission rejected: "
                            f"{self.config.max_inflight} in flight and "
                            f"{self.config.max_pending} pending"),
-                )
-                for request in requests
-            ]
+                ))
+            return rejected
+        request_tag = (requests[0].request_id or None
+                       if len(requests) == 1 else None)
         try:
             with self._state_lock:
                 self._inflight += 1
                 om.gauge("repro_serve_inflight",
                          "requests currently executing").set(self._inflight)
-            with run_tags(client=requests[0].client_id):
-                responses = self.session.submit_batch(requests)
+            with run_tags(client=requests[0].client_id, request=request_tag):
+                responses = call(requests)
         finally:
             with self._state_lock:
                 self._inflight -= 1
                 om.gauge("repro_serve_inflight",
                          "requests currently executing").set(self._inflight)
             self._slots.release()
-        self._bump("batches")
-        om.counter("repro_serve_batches_total",
-                   "request batches executed as one DAG run").inc()
         om.counter("repro_serve_requests_total",
                    "requests accepted and executed").inc(len(requests))
         for response in responses:

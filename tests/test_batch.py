@@ -82,7 +82,7 @@ def batched_counts(graph, workload, engine=None):
         for pattern, induced in workload
     ])
     assert all(response.ok for response in responses)
-    return [response.count for response in responses], session
+    return [response.count for response in responses], responses
 
 
 class TestBatchMatchesSequential:
@@ -136,19 +136,19 @@ class TestWorkloadDedup:
         relabeled = Pattern(3, [(2, 1), (1, 0), (0, 2)], name="tri-rot")
         workload = [(catalog.triangle(), False), (relabeled, False),
                     (catalog.triangle(), False)]
-        got, session = batched_counts(graph, workload)
+        got, responses = batched_counts(graph, workload)
         assert got[0] == got[1] == got[2] == reference.count_embeddings(
             graph, catalog.triangle())
-        sharing = session.last_batch_result.sharing
-        assert sharing.workload == 3
-        assert sharing.unique_queries == 1
+        sharing = responses[0].metrics["sharing"]
+        assert sharing["workload"] == 3
+        assert sharing["unique_queries"] == 1
 
     def test_single_vertex_pattern_is_trivial(self, graph):
-        got, session = batched_counts(graph, [(Pattern(1, []), False),
-                                              (catalog.triangle(), False)])
+        workload = [(Pattern(1, []), False), (catalog.triangle(), False)]
+        got, _ = batched_counts(graph, workload)
         assert got[0] == graph.num_vertices
         trivial = [node for node in
-                   session.last_batch_result.node_results
+                   compile_batch(DecoMine(graph), workload).schedule
                    if node.kind == "trivial"]
         assert len(trivial) == 1
 

@@ -21,6 +21,7 @@ import threading
 import pytest
 
 from repro import observe
+from repro.api.messages import MiningRequest
 from repro.api.session import DecoMine
 from repro.baselines import reference
 from repro.compiler.pipeline import compile_pattern
@@ -255,31 +256,32 @@ class TestWarmSessionSkipsProfiling:
                                                              graph):
         cache_dir = tmp_path / "cache"
         pattern = catalog.house()
-        cold = DecoMine(graph, plan_cache=cache_dir)
-        expected = cold.get_pattern_count(pattern)
-        assert cold.last_response.plan_cache_hit is False
+        cold = DecoMine(graph, plan_cache=cache_dir).submit(
+            MiningRequest(pattern=pattern))
+        expected = cold.count
+        assert cold.plan_cache_hit is False
 
         warm = DecoMine(graph, plan_cache=cache_dir)
         observe.enable("warm")
         try:
-            assert warm.get_pattern_count(pattern) == expected
+            response = warm.submit(MiningRequest(pattern=pattern))
         finally:
             trace = observe.disable()
+        assert response.count == expected
         names = {entry.name for entry in trace.spans}
         assert "profile" not in names
         assert "compile" not in names
         assert "search" not in names
         assert "plan-cache" in names
-        assert warm.last_response.plan_cache_hit is True
+        assert response.plan_cache_hit is True
         # The lazy graph profile was never even computed.
         assert warm._profile is None
 
     def test_in_memory_hit_also_reports_warm(self, graph):
         session = DecoMine(graph)
-        session.get_pattern_count(catalog.diamond())
-        assert session.last_response.plan_cache_hit is False
-        session.get_pattern_count(catalog.diamond())
-        assert session.last_response.plan_cache_hit is True
+        request = MiningRequest(pattern=catalog.diamond())
+        assert session.submit(request).plan_cache_hit is False
+        assert session.submit(request).plan_cache_hit is True
 
 
 class TestEviction:

@@ -39,7 +39,6 @@ from repro.runtime.resources import (
     ResourceGovernor,
     active_tokens,
     request_cancel,
-    set_active_token,
 )
 from repro.runtime.supervisor import (
     CheckpointStore,
@@ -250,18 +249,19 @@ class TestResourceGovernor:
 
 class TestRequestCancel:
     def test_no_active_run_returns_false(self):
-        set_active_token(None)
+        assert active_tokens() == []
         assert request_cancel() is False
 
     def test_flips_the_active_token(self):
-        token = CancelToken.create()
-        set_active_token(token)
+        token, other = CancelToken.create(), CancelToken.create()
         try:
             assert request_cancel("interrupt") is True
             assert token.reason == "interrupt"
+            assert other.reason == "interrupt"  # a signal hits every run
         finally:
-            set_active_token(None)
             token.close()
+            other.close()
+        assert request_cancel("interrupt") is False
 
 
 class TestMemoryWatchdog:
@@ -444,6 +444,39 @@ class TestGovernedExecution:
         assert {f.reason for f in result.failures} == {"cancelled"}
         assert active_tokens() == []
 
+    def test_interrupt_reaches_a_run_that_outlives_another(self, case):
+        """A governed run finishing must not hide a still-running one
+        from the SIGINT bridge."""
+        graph, plan, expected = case
+        faults = FaultPlan(tuple(
+            Fault("delay", chunk, attempts=None, delay_s=0.1)
+            for chunk in range(4)
+        ))
+        slow_ctx = ExecutionContext(plan.root.num_tables, faults=faults)
+        box: dict = {}
+
+        def slow_run() -> None:
+            box["result"] = execute_plan(plan, graph, ctx=slow_ctx,
+                                         policy=governed_policy())
+
+        slow = threading.Thread(target=slow_run)
+        slow.start()
+        try:
+            for _ in range(500):
+                if active_tokens():
+                    break
+                time.sleep(0.005)
+            assert active_tokens(), "the slow run never went live"
+            fast = execute_plan(plan, graph, policy=governed_policy())
+            assert fast.embedding_count == expected
+            assert request_cancel("interrupt") is True
+        finally:
+            slow.join()
+        result = box["result"]
+        assert not result.ok
+        assert result.cancelled == "interrupt"
+        assert active_tokens() == []
+
 
 class TestGraceDrainAndBisectedResume:
     def test_timeout_preemption_keeps_healthy_inflight_results(
@@ -604,7 +637,6 @@ class TestCLIResourceFlags:
         from repro.cli import _sigint_cancels
 
         token = CancelToken.create()
-        set_active_token(token)
         try:
             with _sigint_cancels(True):
                 os.kill(os.getpid(), signal.SIGINT)
@@ -620,7 +652,6 @@ class TestCLIResourceFlags:
             # The previous handler is restored on exit.
             assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
         finally:
-            set_active_token(None)
             token.close()
 
     def test_ungoverned_context_is_transparent(self):

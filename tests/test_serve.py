@@ -25,6 +25,8 @@ from repro.graph import shared as shared_mod
 from repro.graph.generators import erdos_renyi
 from repro.observe import ledger as ledger_mod
 from repro.patterns import catalog
+from repro.runtime.engine import EngineOptions
+from repro.runtime.faults import Fault, FaultPlan
 from repro.serve import Client, MiningServer, ServerConfig
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -239,6 +241,24 @@ class TestAdmissionControl:
         finally:
             server.close()
 
+    def test_deadline_cancelled_run_says_why(self, graph, tmp_path):
+        config = ServerConfig(socket_path=str(tmp_path / "dc.sock"))
+        server = MiningServer(graph, config)
+        try:
+            slow = EngineOptions(faults=FaultPlan(tuple(
+                Fault("delay", chunk, attempts=None, delay_s=0.1)
+                for chunk in range(4)
+            )))
+            response = server.handle_request(MiningRequest(
+                pattern=catalog.house(), engine=slow, deadline_s=0.05))
+            assert response.ok is False
+            assert response.count is None
+            assert response.error
+            assert "execution incomplete" in response.error
+            assert "(deadline)" in response.error
+        finally:
+            server.close()
+
     def test_default_deadline_applied(self, graph, tmp_path):
         seen: list[MiningRequest] = []
 
@@ -307,9 +327,9 @@ class TestSessionSubmitSurface:
         session = DecoMine(graph)
         response = session.submit(MiningRequest(pattern=catalog.house()))
         assert response.ok and response.count == expected_house
-        assert session.last_response is response
         assert session.get_pattern_count(catalog.house()) == expected_house
-        assert session.last_response.plan_cache_hit is True  # in-memory
+        again = session.submit(MiningRequest(pattern=catalog.house()))
+        assert again.plan_cache_hit is True  # in-memory
 
     def test_constrained_and_mine_modes_stay_in_process(self, graph):
         session = DecoMine(graph)

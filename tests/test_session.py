@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 
 import pytest
 
 from repro.api import DecoMine, labels_distinct, labels_equal, label_is
 from repro.baselines import reference
-from repro.exceptions import PatternError
+from repro.exceptions import ExecutionError, PatternError
 from repro.patterns import catalog
 from repro.patterns.generation import all_connected_patterns
 from repro.patterns.pattern import Pattern
@@ -85,6 +86,55 @@ class TestCounting:
     def test_explain_mentions_plan_kind(self, session):
         text = session.explain(catalog.chain(4))
         assert "plan for" in text
+
+
+class TestSharedSession:
+    def test_incomplete_run_raises_even_after_another_thread_counts(
+            self, session, monkeypatch):
+        """Two threads share one session (as the daemon's do): thread A's
+        incomplete run must raise, not report the count of the run thread
+        B completed in between."""
+        from repro.runtime.supervisor import ChunkFailure
+
+        graph = session.graph
+        shared = DecoMine(graph)
+        original = DecoMine._execute
+        a_ran, b_done = threading.Event(), threading.Event()
+
+        def execute(self, plan, ctx=None, **kwargs):
+            result = original(self, plan, ctx, **kwargs)
+            if threading.current_thread().name == "thread-a":
+                a_ran.set()
+                assert b_done.wait(30.0)
+                result.failures.append(ChunkFailure(
+                    index=0, bounds=(0, graph.num_vertices), attempts=1,
+                    reason="cancelled",
+                ))
+            return result
+
+        monkeypatch.setattr(DecoMine, "_execute", execute)
+        box: dict = {}
+
+        def count_triangles() -> None:
+            try:
+                box["count"] = shared.get_pattern_count(catalog.triangle())
+            except ExecutionError as exc:
+                box["error"] = exc
+
+        thread_a = threading.Thread(target=count_triangles, name="thread-a")
+        thread_a.start()
+        try:
+            assert a_ran.wait(30.0)
+            chain4 = shared.get_pattern_count(catalog.chain(4))
+            assert chain4 == reference.count_embeddings(
+                graph, catalog.chain(4))
+        finally:
+            b_done.set()
+            thread_a.join(30.0)
+        assert "count" not in box, (
+            f"incomplete run returned a count: {box.get('count')}")
+        assert "execution incomplete" in str(box["error"])
+        assert "(cancelled)" in str(box["error"])
 
 
 class TestMine:

@@ -427,19 +427,21 @@ class TestNonPosixFallback:
 
 class TestSessionPolicy:
     def test_run_policy_threads_through_session(self, case, tmp_path):
+        from repro.api.messages import MiningRequest
         from repro.api.session import DecoMine
 
         graph, _, expected = case
         policy = RunPolicy(budget=RunBudget(backoff_s=0.001),
                            checkpoint=str(tmp_path / "session.jsonl"))
-        session = DecoMine(graph, run_policy=policy)
-        assert session.get_pattern_count(catalog.house()) == expected
-        assert session.last_result is not None
-        assert session.last_result.ok
+        request = MiningRequest(pattern=catalog.house())
+        response = DecoMine(graph, run_policy=policy).submit(request)
+        assert response.count == expected
+        assert response.metrics
+        assert response.ok
         # Second session resumes from the first one's checkpoint.
-        resumed = DecoMine(graph, run_policy=policy)
-        assert resumed.get_pattern_count(catalog.house()) == expected
-        assert resumed.last_result.metrics.resumed_chunks > 0
+        resumed = DecoMine(graph, run_policy=policy).submit(request)
+        assert resumed.count == expected
+        assert resumed.metrics["resumed_chunks"] > 0
 
     def test_bare_budget_is_wrapped(self, case):
         from repro.api.session import DecoMine
