@@ -9,7 +9,7 @@ engine/context modules, which sit *above* the graph layer.
 from __future__ import annotations
 
 from repro.runtime import setops
-from repro.runtime.setops import BufferPool, KernelStats, SetOpCache
+from repro.runtime.setops import KernelStats, SetOpCache
 
 __all__ = [
     "EngineOptions",
@@ -23,7 +23,6 @@ __all__ = [
     "PartialEmbedding",
     "materialize",
     "setops",
-    "BufferPool",
     "KernelStats",
     "SetOpCache",
     "RunBudget",

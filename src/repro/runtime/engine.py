@@ -7,14 +7,23 @@ analogue of the paper's scheme — a shared queue of statically-cut chunks);
 each chunk accumulates into privatized counters merged at the end, which
 is correct because all accumulator updates are associative/commutative.
 
-Each chunk runs with its own :class:`ExecutionContext`, hence its own
-set-op memo cache; kernel dispatch counts (from
-:data:`repro.runtime.setops.STATS`) and the cache counters are collected
-per chunk and merged into ``ExecutionResult.metrics``, which is how the
-benchmark reports surface kernel behaviour.  The same per-run deltas are
-published into the :mod:`repro.observe` metrics registry, and — when
-tracing is enabled — every chunk runs under a ``"chunk"`` span (worker
-spans travel back through the per-chunk result channel).
+Every chunk — the inline run's single chunk, a fork worker's, or one on
+the supervisor's serial path — runs through one function,
+:func:`run_chunk`.  It opens the ``"chunk"`` span, parks a chunk of a
+cancelled run, fires the fault plan, dispatches to the executor, and
+takes that chunk's kernel (:data:`repro.runtime.setops.STATS`),
+vectorized (:data:`repro.runtime.vectorops.VSTATS`) and memo-cache
+counter deltas.  The kernel counters are per-thread, so runs on
+concurrent threads never count each other's calls.  Worker spans travel
+back through the per-chunk result channel.
+
+:func:`_execute` runs as named stages: validate the mode, orient, open
+the governor scope, sweep the chunks (supervised or inline), publish,
+fold the aux-plan corrections in, and build the result and its ledger
+record.  Each sweep yields one tally,
+:class:`~repro.runtime.supervisor.SupervisorOutcome`, which is merged
+into ``ExecutionResult.metrics`` and published into the
+:mod:`repro.observe` metrics registry.
 
 Execution knobs are bundled in :class:`EngineOptions`; supervision knobs
 (budget, checkpoint, resource budget) in
@@ -59,6 +68,18 @@ from repro.observe.trace import (
 )
 from repro.runtime import setops, vectorops
 from repro.runtime.context import ExecutionContext
+from repro.runtime.resources import (
+    CancelToken,
+    ResourceBudget,
+    ResourceGovernor,
+)
+from repro.runtime.supervisor import (
+    CheckpointStore,
+    RunBudget,
+    RunPolicy,
+    Supervisor,
+    SupervisorOutcome,
+)
 from repro.runtime.vectorized import run_vectorized
 
 __all__ = [
@@ -68,6 +89,7 @@ __all__ = [
     "ExecutionResult",
     "execute_plan",
     "chunk_ranges",
+    "run_chunk",
 ]
 
 #: Valid ``EngineOptions.executor`` choices.
@@ -427,17 +449,9 @@ def _effective_orientation(plan: CompiledPlan, options: EngineOptions) -> str:
     return orientation
 
 
-def _merge_stats(into: dict[str, int], part: dict[str, int]) -> None:
-    for key, value in part.items():
-        into[key] = into.get(key, 0) + value
-
-
 def _resolve_policy(policy):
     """Normalize RunPolicy | RunBudget | None into the (budget,
     checkpoint, resources) tuple the engine works with."""
-    from repro.runtime.resources import ResourceBudget
-    from repro.runtime.supervisor import CheckpointStore, RunBudget, RunPolicy
-
     budget = checkpoint = resources = None
     if isinstance(policy, RunBudget):
         budget = policy
@@ -459,12 +473,24 @@ def _resolve_policy(policy):
     return budget, checkpoint, resources
 
 
-def _publish_metrics(stats: dict[str, int], chunk_seconds: list[float],
-                     retries: int, resumed_chunks: int, pool_restarts: int,
-                     num_failures: int, bisections: int = 0,
-                     watchdog_kills: int = 0, frontier_downshifts: int = 0,
-                     cancelled: str | None = None,
-                     salvage_fraction: float | None = None) -> None:
+#: Registry counter (name, help) for each supervision counter of a run's
+#: tally (see ``SupervisorOutcome.COUNTERS``).
+_COUNTER_METRICS = {
+    "retries": ("repro_chunk_retries_total",
+                "chunk re-dispatches by the supervisor"),
+    "resumed_chunks": ("repro_checkpoint_resumed_chunks_total",
+                       "chunks replayed from a checkpoint"),
+    "pool_restarts": ("repro_pool_restarts_total", "worker pool rebuilds"),
+    "bisections": ("repro_resource_bisections_total",
+                   "chunk bisections after memory/timeout casualties"),
+    "watchdog_kills": ("repro_resource_watchdog_kills_total",
+                       "hard-RSS cancellations by the memory watchdog"),
+    "frontier_downshifts": ("repro_resource_frontier_downshifts_total",
+                            "soft-watermark frontier-cap downshifts"),
+}
+
+
+def _publish_metrics(tally: SupervisorOutcome) -> None:
     """Fold one execution's telemetry delta into the global registry.
 
     Batched per run (not per kernel call), so the cost is a handful of
@@ -475,7 +501,7 @@ def _publish_metrics(stats: dict[str, int], chunk_seconds: list[float],
     om.counter(
         "repro_executions_total", "plan executions (aux plans counted)"
     ).inc()
-    for key, value in stats.items():
+    for key, value in tally.stats.items():
         if not value:
             continue
         if key.startswith("cache_"):
@@ -485,39 +511,22 @@ def _publish_metrics(stats: dict[str, int], chunk_seconds: list[float],
         else:
             name = f"repro_setops_{key}_total"
         om.counter(name, "set-op kernel telemetry (per-run delta)").inc(value)
-    if retries:
-        om.counter("repro_chunk_retries_total",
-                   "chunk re-dispatches by the supervisor").inc(retries)
-    if resumed_chunks:
-        om.counter("repro_checkpoint_resumed_chunks_total",
-                   "chunks replayed from a checkpoint").inc(resumed_chunks)
-    if pool_restarts:
-        om.counter("repro_pool_restarts_total",
-                   "worker pool rebuilds").inc(pool_restarts)
-    if num_failures:
+    for field_name, (name, help_text) in _COUNTER_METRICS.items():
+        value = getattr(tally, field_name)
+        if value:
+            om.counter(name, help_text).inc(value)
+    if tally.failures:
         om.counter("repro_chunk_failures_total",
-                   "chunks that exhausted recovery").inc(num_failures)
-    if bisections:
-        om.counter("repro_resource_bisections_total",
-                   "chunk bisections after memory/timeout casualties"
-                   ).inc(bisections)
-    if watchdog_kills:
-        om.counter("repro_resource_watchdog_kills_total",
-                   "hard-RSS cancellations by the memory watchdog"
-                   ).inc(watchdog_kills)
-    if frontier_downshifts:
-        om.counter("repro_resource_frontier_downshifts_total",
-                   "soft-watermark frontier-cap downshifts"
-                   ).inc(frontier_downshifts)
-    if cancelled is not None:
+                   "chunks that exhausted recovery").inc(len(tally.failures))
+    if tally.cancelled is not None:
         om.counter("repro_resource_cancellations_total",
                    "runs stopped early through the cancel token").inc()
-    if salvage_fraction is not None:
+    if tally.salvage is not None:
         om.gauge("repro_resource_salvage_fraction",
                  "completed work fraction of the last incomplete run"
-                 ).set(float(salvage_fraction))
+                 ).set(float(tally.salvage["fraction"]))
     chunk_hist = om.histogram("repro_chunk_seconds", "per-chunk wall time")
-    for seconds in chunk_seconds:
+    for seconds in tally.chunk_seconds:
         chunk_hist.observe(seconds)
 
 
@@ -552,9 +561,12 @@ def execute_plan(
                     resources, aux=False)
 
 
-def _execute(plan, graph, ctx, options, policy_budget, checkpoint,
-             resources, *, aux: bool) -> ExecutionResult:
-    """One execution with an already-resolved policy.
+def _execute(plan, graph, ctx, options, budget, checkpoint, resources, *,
+             aux: bool) -> ExecutionResult:
+    """One execution with an already-resolved policy, as named stages:
+    validate the mode, orient, open the governor scope, sweep the chunks
+    (supervised or inline), publish, fold the aux corrections in, and
+    build the result and its ledger record.
 
     ``aux`` marks a shrinkage-correction execution (see
     ``CompiledPlan.aux_plans``) so its ledger record is distinguishable
@@ -563,193 +575,154 @@ def _execute(plan, graph, ctx, options, policy_budget, checkpoint,
     if ctx is None:
         ctx = ExecutionContext(plan.root.num_tables, cache=options.cache,
                                faults=options.faults)
-    if options.workers > 1 and plan.mode == "emit":
-        raise ExecutionError(
-            "emit-mode plans run single-process: user UDF state cannot be "
-            "merged across workers; aggregate via counting accumulators "
-            "instead"
-        )
-    if plan.mode == "emit" and (
-        policy_budget is not None or checkpoint is not None
-        or resources is not None
-    ):
-        raise ExecutionError(
-            "supervised execution re-runs chunks and would re-deliver "
-            "partial embeddings to the UDF; emit-mode plans run "
-            "unsupervised"
-        )
-    supervised = plan.mode != "emit" and (
-        options.workers > 1
-        or policy_budget is not None
-        or checkpoint is not None
-        or resources is not None
-        or ctx.faults is not None
-        or options.progress is not None
-    )
-
+    supervised = _supervised(plan, ctx, options, budget, checkpoint,
+                             resources)
     orientation = _effective_orientation(plan, options)
     # orient() memoizes per (graph, mode), so repeated executions — and
-    # the aux-plan recursion below, which passes the *original* graph —
-    # reuse one relabeled copy.
+    # the aux-plan recursion, which passes the *original* graph — reuse
+    # one relabeled copy.
     exec_graph = orient(graph, orientation) if orientation != "none" else graph
-
     deadline_at = None
-    if policy_budget is not None and policy_budget.deadline_s is not None:
-        deadline_at = time.monotonic() + policy_budget.deadline_s
-
-    # Resource governor: one cancel token per governed execution, owned
-    # here (created before the span, closed by _GovernorScope).  While
-    # open it is a live token, which is what a SIGINT flips.
-    governor = None
-    gov_token = None
-    saved_resources = None
-    if resources is not None:
-        from repro.runtime.resources import CancelToken, ResourceGovernor
-
-        gov_token = CancelToken.create()
-        governor = ResourceGovernor(resources, gov_token)
-        saved_resources = (ctx.resources, ctx.poll_cancel)
-        ctx.resources = governor
-        ctx.poll_cancel = governor.poll
-
+    if budget is not None and budget.deadline_s is not None:
+        deadline_at = time.monotonic() + budget.deadline_s
     run_span = span(
         "execute", pattern=plan.pattern.name or repr(plan.pattern),
         mode=plan.mode, workers=options.workers, executor=options.executor,
         orientation=orientation,
     )
-    gov_scope = (
-        _GovernorScope(ctx, saved_resources, gov_token)
-        if governor is not None else contextlib.nullcontext()
-    )
-    with gov_scope, run_span:
+    with _governed(ctx, resources) as governor, run_span:
         started = time.perf_counter()
-        kernel_before = setops.STATS.snapshot()
-        vec_before = vectorops.VSTATS.snapshot()
-        cache_before = ctx.cache_counters()
-        retries = resumed_chunks = pool_restarts = 0
-        bisections = watchdog_kills = frontier_downshifts = 0
-        cancelled = None
-        salvage = None
-        failures: list = []
         if supervised:
-            from repro.runtime.supervisor import Supervisor
-
-            heartbeat = None
-            if options.progress is not None:
-                from repro.observe.progress import as_heartbeat
-
-                heartbeat = as_heartbeat(options.progress)
-            ranges = _plan_ranges(
-                exec_graph, orientation,
-                options.workers * options.chunks_per_worker,
-            )
-            outcome = Supervisor(
-                plan, exec_graph, ctx, ranges, options.workers,
-                options.executor, budget=policy_budget, checkpoint=checkpoint,
-                deadline_at=deadline_at, cache=options.cache,
-                progress=heartbeat, shared_graph=options.shared_graph,
-                resources=governor,
-            ).run()
-            accumulators = outcome.accumulators
-            chunk_seconds = outcome.chunk_seconds
-            stats = outcome.stats
-            retries = outcome.retries
-            failures = list(outcome.failures)
-            resumed_chunks = outcome.resumed_chunks
-            pool_restarts = outcome.pool_restarts
-            cancelled = outcome.cancelled
-            bisections = outcome.bisections
-            watchdog_kills = outcome.watchdog_kills
-            frontier_downshifts = outcome.frontier_downshifts
-            if cancelled is not None or failures:
-                salvage = {
-                    "fraction": (
-                        round(outcome.work_done / outcome.work_total, 6)
-                        if outcome.work_total else 1.0
-                    ),
-                    "chunks_done": outcome.chunks_done,
-                    "chunks_total": outcome.chunks_total,
-                    "unfinished": [
-                        list(f.bounds) for f in outcome.failures[:32]
-                    ],
-                }
-            _merge_stats(stats, setops.STATS.delta(kernel_before))
-            _merge_stats(stats, vectorops.VSTATS.delta(vec_before))
+            tally = _sweep_supervised(plan, exec_graph, ctx, options,
+                                      orientation, budget, checkpoint,
+                                      deadline_at, governor)
         else:
-            with span("chunk", index=0) as chunk_span:
-                accumulators = _run_range(plan, exec_graph, ctx, None, None,
-                                          options.executor)
-            # When tracing, the span's clock is the measurement — a
-            # second perf_counter pair could disagree with it (GC pause
-            # between the two reads) and break trace/result accounting.
-            chunk_seconds = [chunk_span.duration
-                             or (time.perf_counter() - started)]
-            stats = setops.STATS.delta(kernel_before)
-            _merge_stats(stats, vectorops.VSTATS.delta(vec_before))
-        for key, value in ctx.cache_counters().items():
-            stats[key] = stats.get(key, 0) + value - cache_before.get(key, 0)
+            tally = _sweep_inline(plan, exec_graph, ctx, options.executor)
         # This execution's own telemetry goes to the registry before the
-        # aux-plan corrections below: each aux execution recurses through
+        # aux-plan corrections: each aux execution recurses through
         # _execute and publishes its own delta.
-        _publish_metrics(stats, chunk_seconds, retries, resumed_chunks,
-                         pool_restarts, len(failures),
-                         bisections=bisections,
-                         watchdog_kills=watchdog_kills,
-                         frontier_downshifts=frontier_downshifts,
-                         cancelled=cancelled,
-                         salvage_fraction=(salvage or {}).get("fraction"))
-        # Globally-counted shrinkage corrections (see
-        # CompiledPlan.aux_plans): each quotient pattern's injective count
-        # is subtracted once, instead of re-enumerating quotient
-        # extensions per cutting-set match.  Aux plans share the
-        # checkpoint store (under their own fingerprints) and inherit
-        # whatever remains of the whole-run deadline, so resume and
-        # deadline semantics are exact for decomposed counts.
-        for aux_plan, multiplier in plan.aux_plans:
-            aux_budget = policy_budget
-            if deadline_at is not None:
-                aux_budget = replace(
-                    policy_budget,
-                    deadline_s=max(0.0, deadline_at - time.monotonic()),
-                )
-            aux_result = _execute(aux_plan, graph, None, options,
-                                  aux_budget, checkpoint, resources,
-                                  aux=True)
-            accumulators[COUNT_ACC] = (
-                accumulators.get(COUNT_ACC, 0)
-                - multiplier * aux_result.raw_count
-            )
-            _merge_stats(stats, aux_result.metrics.kernel_stats)
-            retries += aux_result.metrics.retries
-            failures.extend(aux_result.failures)
-            resumed_chunks += aux_result.metrics.resumed_chunks
-            pool_restarts += aux_result.metrics.pool_restarts
-            bisections += aux_result.metrics.bisections
-            watchdog_kills += aux_result.metrics.watchdog_kills
-            frontier_downshifts += aux_result.metrics.frontier_downshifts
-            cancelled = cancelled or aux_result.cancelled
-            if salvage is None and aux_result.salvage is not None:
-                salvage = aux_result.salvage
+        _publish_metrics(tally)
+        _fold_aux_corrections(tally, plan, graph, options, budget,
+                              checkpoint, resources, deadline_at)
         elapsed = time.perf_counter() - started
+    return _finish(plan, graph, options, tally, elapsed, budget, checkpoint,
+                   supervised, aux)
 
+
+def _supervised(plan, ctx, options, budget, checkpoint, resources) -> bool:
+    """Validate the run mode; True when the run goes through the
+    :class:`~repro.runtime.supervisor.Supervisor`, False when it runs
+    inline as one chunk."""
+    governed = (budget is not None or checkpoint is not None
+                or resources is not None)
+    if plan.mode == "emit":
+        if options.workers > 1:
+            raise ExecutionError(
+                "emit-mode plans run single-process: user UDF state cannot "
+                "be merged across workers; aggregate via counting "
+                "accumulators instead"
+            )
+        if governed:
+            raise ExecutionError(
+                "supervised execution re-runs chunks and would re-deliver "
+                "partial embeddings to the UDF; emit-mode plans run "
+                "unsupervised"
+            )
+        return False
+    return (options.workers > 1 or governed or ctx.faults is not None
+            or options.progress is not None)
+
+
+@contextlib.contextmanager
+def _governed(ctx, resources):
+    """Governor scope: with a resource budget, one cancel token and
+    :class:`~repro.runtime.resources.ResourceGovernor` per execution,
+    installed on ``ctx`` (a live token is what a SIGINT flips).  Every
+    exit path (success, ExecutionError, KeyboardInterrupt) restores the
+    caller's context hooks and closes the token, unlinking its shared
+    segment.  Yields the governor, or None on ungoverned runs."""
+    if resources is None:
+        yield None
+        return
+    token = CancelToken.create()
+    governor = ResourceGovernor(resources, token)
+    saved = (ctx.resources, ctx.poll_cancel)
+    ctx.resources, ctx.poll_cancel = governor, governor.poll
+    try:
+        yield governor
+    finally:
+        ctx.resources, ctx.poll_cancel = saved
+        token.close()
+
+
+def _sweep_inline(plan, graph, ctx, executor) -> SupervisorOutcome:
+    """Run the whole outer loop in the caller's context as one chunk."""
+    accumulators, seconds, stats = run_chunk(
+        plan, graph, ctx, 0, 1, None, None, executor, allow_exit=False
+    )
+    return SupervisorOutcome(accumulators, [seconds], stats)
+
+
+def _sweep_supervised(plan, graph, ctx, options, orientation, budget,
+                      checkpoint, deadline_at, governor) -> SupervisorOutcome:
+    """Cut the outer loop into chunks and drain them under the
+    :class:`~repro.runtime.supervisor.Supervisor`."""
+    heartbeat = None
+    if options.progress is not None:
+        from repro.observe.progress import as_heartbeat
+
+        heartbeat = as_heartbeat(options.progress)
+    ranges = _plan_ranges(graph, orientation,
+                          options.workers * options.chunks_per_worker)
+    return Supervisor(
+        plan, graph, ctx, ranges, options.workers, options.executor,
+        budget=budget, checkpoint=checkpoint, deadline_at=deadline_at,
+        cache=options.cache, progress=heartbeat,
+        shared_graph=options.shared_graph, resources=governor,
+    ).run()
+
+
+def _fold_aux_corrections(tally, plan, graph, options, budget, checkpoint,
+                          resources, deadline_at) -> None:
+    """Globally-counted shrinkage corrections (see
+    ``CompiledPlan.aux_plans``): each quotient pattern's injective count
+    is subtracted once, instead of re-enumerating quotient extensions per
+    cutting-set match.  Aux plans share the checkpoint store (under their
+    own fingerprints) and inherit whatever remains of the whole-run
+    deadline, so resume and deadline semantics are exact for decomposed
+    counts."""
+    for aux_plan, multiplier in plan.aux_plans:
+        aux_budget = budget
+        if deadline_at is not None:
+            aux_budget = replace(
+                budget, deadline_s=max(0.0, deadline_at - time.monotonic())
+            )
+        aux_result = _execute(aux_plan, graph, None, options, aux_budget,
+                              checkpoint, resources, aux=True)
+        tally.fold_aux(aux_result, multiplier)
+
+
+def _finish(plan, graph, options, tally, elapsed, budget, checkpoint,
+            supervised, aux) -> ExecutionResult:
+    """Build the result from the run's tally and record it in the ledger.
+
+    Durable run history: one JSON line per execution when a ledger is
+    active (a single flag check otherwise).  Aux (global-shrinkage
+    correction) executions record under their own fingerprints.
+    """
+    from repro.observe import ledger as ledger_mod
     from repro.observe import metrics as om
 
     om.histogram("repro_execution_seconds",
                  "whole-execution wall time").observe(elapsed)
     result = ExecutionResult(
-        accumulators, elapsed, plan.info.divisor, chunk_seconds, stats,
-        failures=failures, retries=retries, resumed_chunks=resumed_chunks,
-        pool_restarts=pool_restarts, cancelled=cancelled, salvage=salvage,
-        bisections=bisections, watchdog_kills=watchdog_kills,
-        frontier_downshifts=frontier_downshifts,
+        tally.accumulators, elapsed, plan.info.divisor, tally.chunk_seconds,
+        tally.stats, failures=tally.failures, cancelled=tally.cancelled,
+        salvage=tally.salvage,
+        **{name: getattr(tally, name) for name in tally.COUNTERS},
     )
-    # Durable run history: one JSON line per execution when a ledger is
-    # active (a single flag check otherwise).  Aux (global-shrinkage
-    # correction) executions record under their own fingerprints.
-    from repro.observe import ledger as ledger_mod
-
     record = ledger_mod.record_run(
-        plan, graph, options, result, policy_budget, checkpoint, supervised,
+        plan, graph, options, result, budget, checkpoint, supervised,
         aux=aux,
     )
     if record is not None:
@@ -757,24 +730,40 @@ def _execute(plan, graph, ctx, options, policy_budget, checkpoint,
     return result
 
 
-class _GovernorScope:
-    """Tears a governed execution's resource plumbing back down: restores
-    the caller's context hooks and closes the cancel token (unlinking
-    its shared segment) — on every exit path (success, ExecutionError,
-    KeyboardInterrupt)."""
+def run_chunk(plan, graph, ctx, index, attempt, start, stop, executor, *,
+              allow_exit: bool):
+    """Run one chunk — outer-loop vertices ``[start, stop)``, or the whole
+    loop when both are None — in ``ctx``.
 
-    def __init__(self, ctx, saved_resources, token) -> None:
-        self.ctx = ctx
-        self.saved_resources = saved_resources
-        self.token = token
-
-    def __enter__(self) -> "_GovernorScope":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.ctx.resources, self.ctx.poll_cancel = self.saved_resources
-        self.token.close()
-        return False
+    The one way a chunk runs: the inline path, the fork worker and the
+    supervisor's serial path all call it.  It opens the ``"chunk"``
+    span, parks a chunk of a cancelled run before it starts, fires the
+    fault plan (``allow_exit`` only inside a disposable worker process),
+    dispatches to the executor, and returns ``(accumulators, seconds,
+    stats)``: ``stats`` is this chunk's own set-op, vectorized and
+    memo-cache delta (the kernel counters are per-thread, so concurrent
+    runs on other threads never leak into it) and ``seconds`` is the
+    span's window.
+    """
+    kernel_before = setops.STATS.snapshot()
+    vec_before = vectorops.VSTATS.snapshot()
+    cache_before = ctx.cache_counters()
+    started = time.perf_counter()
+    with span("chunk", index=index, attempt=attempt,
+              worker_pid=os.getpid()) as chunk_span:
+        if ctx.resources is not None:
+            ctx.resources.check_cancel()
+        ctx.fire_faults(index, attempt, allow_exit=allow_exit)
+        accumulators = _run_range(plan, graph, ctx, start, stop, executor)
+    # One clock: under tracing the chunk's reported seconds ARE the span
+    # window (a second perf_counter pair could disagree with it), so
+    # trace and chunk-coverage accounting are exact.
+    seconds = chunk_span.duration or (time.perf_counter() - started)
+    stats = setops.STATS.delta(kernel_before)
+    stats.update(vectorops.VSTATS.delta(vec_before))
+    for key, value in ctx.cache_counters().items():
+        stats[key] = value - cache_before.get(key, 0)
+    return accumulators, seconds, stats
 
 
 def _run_range(plan, graph, ctx, start, stop, executor) -> dict[str, int]:
@@ -836,35 +825,19 @@ def _chunk_worker(task: tuple[int, int, int, int]):
         from repro.graph.shared import attach_cached
 
         graph = attach_cached(state["graph_descriptor"])
-    executor = state["executor"]
-    governor = state.get("resources")
     ctx = ExecutionContext(plan.root.num_tables,
                            predicates=state["predicates"],
-                           cache=state.get("cache", True),
-                           faults=state.get("faults"),
-                           resources=governor)
+                           cache=state["cache"], faults=state["faults"],
+                           resources=state["resources"])
     # A forked worker inherits the parent's tracing flag; its spans are
     # recorded into a fresh per-chunk trace and shipped back through the
     # result tuple (the parent grafts them into the live trace).
     worker_trace = begin_worker_trace(f"chunk-{index}")
-    chunk_started = time.perf_counter()
-    kernel_before = setops.STATS.snapshot()
-    vec_before = vectorops.VSTATS.snapshot()
-    with span("chunk", index=index, attempt=attempt,
-              worker_pid=os.getpid()) as chunk_span:
-        # Park immediately if the run was cancelled between dispatch and
-        # pickup — no point starting a chunk the supervisor will discard.
-        if governor is not None:
-            governor.check_cancel()
-        ctx.fire_faults(index, attempt)
-        accumulators = _run_range(plan, graph, ctx, start, stop, executor)
-    # One clock: under tracing the chunk's reported seconds ARE the span
-    # window, so the parent's chunk-coverage accounting is exact.
-    elapsed = chunk_span.duration or (time.perf_counter() - chunk_started)
-    stats = setops.STATS.delta(kernel_before)
-    _merge_stats(stats, vectorops.VSTATS.delta(vec_before))
-    _merge_stats(stats, ctx.cache_counters())
-    return (index, attempt, accumulators, elapsed, stats,
+    accumulators, seconds, stats = run_chunk(
+        plan, graph, ctx, index, attempt, start, stop, state["executor"],
+        allow_exit=True,
+    )
+    return (index, attempt, accumulators, seconds, stats,
             take_worker_spans(worker_trace))
 
 

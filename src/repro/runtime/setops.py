@@ -27,8 +27,8 @@ symmetry-breaking trim (``v < u`` / ``v > u`` guards) into the operation
 so the intermediate untrimmed set is never materialized; the compiler's
 ``fuse`` pass rewrites ``trim(intersect(a, b), u)`` chains into them.
 
-Per-call dispatch counters are kept in the module-global :data:`STATS`
-(the engine reports deltas per execution), and :class:`SetOpCache`
+Per-call dispatch counters are kept in :data:`STATS`, one set per thread
+(the engine's chunk runner reports each chunk's delta), and :class:`SetOpCache`
 provides the per-chunk memo cache :class:`repro.runtime.context.ExecutionContext`
 uses to reuse materialized intersections across loop iterations.
 
@@ -38,6 +38,8 @@ re-exports these kernels) and the runtime layer.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -49,7 +51,6 @@ __all__ = [
     "DEFAULT_CACHE_CAPACITY",
     "KernelStats",
     "STATS",
-    "gallop_search",
     "intersect",
     "subtract",
     "intersect_size",
@@ -58,9 +59,6 @@ __all__ = [
     "intersect_from",
     "subtract_upto",
     "subtract_from",
-    "intersect_into",
-    "subtract_into",
-    "BufferPool",
     "SetOpCache",
 ]
 
@@ -88,12 +86,15 @@ DEFAULT_CACHE_CAPACITY = 4096
 # Kernel-call counters
 # ----------------------------------------------------------------------
 
-class KernelStats:
-    """Mutable per-process kernel-call counters.
+class KernelStats(threading.local):
+    """Mutable per-thread kernel-call counters.
 
-    The engine snapshots :data:`STATS` around an execution and reports
-    the delta on :class:`~repro.runtime.engine.ExecutionResult`, so the
-    counters here only ever need to be monotone.
+    The engine's chunk runner snapshots :data:`STATS` around one chunk
+    and reports the delta, so the counters here only ever need to be
+    monotone.  Each thread sees its own counters, so concurrent runs
+    (the serve daemon executes requests on several threads) never count
+    each other's kernel calls.  No ``__slots__``: slot storage would be
+    shared by every thread.
     """
 
     FIELDS = (
@@ -104,7 +105,6 @@ class KernelStats:
         "bounded",
         "size_only",
     )
-    __slots__ = FIELDS
 
     def __init__(self) -> None:
         self.reset()
@@ -129,42 +129,6 @@ class KernelStats:
 
 
 STATS = KernelStats()
-
-
-# ----------------------------------------------------------------------
-# Scalar galloping primitive
-# ----------------------------------------------------------------------
-
-def gallop_search(arr, target: int, lo: int = 0) -> int:
-    """Leftmost insertion point of ``target`` in sorted ``arr[lo:]``.
-
-    Doubling (galloping) search: probe at exponentially growing offsets
-    from ``lo``, then binary-search the final bracket.  ``O(log d)`` in
-    the distance ``d`` between ``lo`` and the answer, which is what makes
-    a gallop-merge linear when the operands interleave and logarithmic
-    when they do not.  This is the scalar form of what the vectorized
-    gallop kernels do; it is exercised directly by the kernel tests and
-    by callers advancing a cursor through one array.
-    """
-    n = len(arr)
-    if lo >= n or arr[lo] >= target:
-        return lo
-    step = 1
-    prev = lo
-    probe = lo + 1
-    while probe < n and arr[probe] < target:
-        prev = probe
-        step <<= 1
-        probe = lo + step
-    hi = min(probe, n)
-    lo = prev + 1
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if arr[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 # ----------------------------------------------------------------------
@@ -257,111 +221,6 @@ def subtract_from(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     """``{x in a - b : x > bound}``."""
     STATS.bounded += 1
     return subtract(a[a.searchsorted(bound, side="right"):], b)
-
-
-# ----------------------------------------------------------------------
-# Allocation-free variants and the free-list pool
-# ----------------------------------------------------------------------
-
-def intersect_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> int:
-    """Write ``intersect(a, b)`` into ``out``; returns the result length.
-
-    ``out`` must be an ``int64`` buffer with capacity ``>= min(|a|, |b|)``
-    (lease one from a :class:`BufferPool`).  The caller reads
-    ``out[:returned]``.  Use this in loops whose results are consumed
-    before the next call: it skips the result allocation, which on large
-    operands (beyond the CPython small-object realm) is the dominant
-    cost of the plain kernel.
-    """
-    if a.size > b.size:
-        a, b = b, a
-    if a.size == 0:
-        return 0
-    STATS.intersect_gallop += 1
-    idx = b.searchsorted(a)
-    hits = b.take(idx, mode="clip") == a
-    k = int(np.count_nonzero(hits))
-    if k:
-        np.compress(hits, a, out=out[:k])
-    return k
-
-
-def subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> int:
-    """Write ``subtract(a, b)`` into ``out``; returns the result length.
-
-    ``out`` needs capacity ``>= |a|``.  See :func:`intersect_into`.
-    """
-    if a.size == 0:
-        return 0
-    if b.size == 0:
-        out[: a.size] = a
-        return int(a.size)
-    STATS.subtract_gallop += 1
-    idx = b.searchsorted(a)
-    keep = b.take(idx, mode="clip") != a
-    k = int(np.count_nonzero(keep))
-    if k:
-        np.compress(keep, a, out=out[:k])
-    return k
-
-
-class BufferPool:
-    """Free-list of ``int64`` buffers in power-of-two size classes.
-
-    ``acquire(n)`` leases a buffer of capacity at least ``n`` (reusing a
-    released one when the size class has stock), ``release(buf)`` returns
-    it.  Pairing with the ``*_into`` kernels lets inner loops run without
-    allocating: the paper's C++ runtime preallocates one vertex-set
-    buffer per loop depth, and this is the Python analogue for callers —
-    like the set-op microbenchmark and bulk executors — whose buffer
-    lifetimes are explicit.  (The default kernels deliberately do *not*
-    pool: for the small neighbor lists typical of matching loops,
-    measured CPython/NumPy allocation is cheaper than recycling through
-    ``out=``, so pooling pays only beyond roughly page-cache sizes.)
-    """
-
-    __slots__ = ("max_per_class", "_free", "leases", "reuses", "grown")
-
-    def __init__(self, max_per_class: int = 8) -> None:
-        self.max_per_class = max_per_class
-        self._free: dict[int, list[np.ndarray]] = {}
-        self.leases = 0
-        self.reuses = 0
-        self.grown = 0
-
-    @staticmethod
-    def _class_of(n: int) -> int:
-        return max(1, int(n) - 1).bit_length()
-
-    def acquire(self, n: int) -> np.ndarray:
-        """Lease a buffer with capacity ``>= n`` (contents undefined)."""
-        self.leases += 1
-        cls = self._class_of(n)
-        stock = self._free.get(cls)
-        if stock:
-            self.reuses += 1
-            return stock.pop()
-        self.grown += 1
-        return np.empty(1 << cls, dtype=DTYPE)
-
-    def release(self, buf: np.ndarray) -> None:
-        """Return a leased buffer to its size class."""
-        if buf.base is not None:  # slices are views into a leased buffer
-            buf = buf.base
-        cls = self._class_of(buf.size)
-        if buf.size != (1 << cls):  # foreign buffer: not pool-shaped
-            return
-        stock = self._free.setdefault(cls, [])
-        if len(stock) < self.max_per_class:
-            stock.append(buf)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "pool_leases": self.leases,
-            "pool_reuses": self.reuses,
-            "pool_grown": self.grown,
-            "pool_idle": sum(len(s) for s in self._free.values()),
-        }
 
 
 # ----------------------------------------------------------------------

@@ -62,10 +62,11 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 from repro.compiler.build import COUNT_ACC
 from repro.exceptions import ExecutionError
-from repro.observe.trace import graft_worker_spans, span
+from repro.observe.trace import graft_worker_spans
 from repro.runtime.context import ExecutionContext
 from repro.runtime.resources import ChunkCancelled, MemoryWatchdog
 
@@ -309,30 +310,71 @@ class CheckpointStore:
         self.close()
 
 
+def _add_counts(into: dict[str, int], part) -> None:
+    for key, value in part.items():
+        into[key] = into.get(key, 0) + value
+
+
 @dataclass
 class SupervisorOutcome:
-    """What one supervised chunk sweep produced."""
+    """One run's tally: its merged chunk results and every supervision
+    counter.
+
+    The one record of a run.  The supervisor fills one per sweep, the
+    engine's inline path returns a one-chunk tally, aux-plan corrections
+    fold in through :meth:`fold_aux`, and the engine publishes it and
+    builds the ``ExecutionResult`` from it.
+    """
+
+    #: Supervision counters, named as on ``ExecutionMetrics`` and as the
+    #: ``ExecutionResult`` keywords.
+    COUNTERS: ClassVar[tuple[str, ...]] = (
+        "retries", "resumed_chunks", "pool_restarts", "bisections",
+        "watchdog_kills", "frontier_downshifts",
+    )
 
     accumulators: dict[str, int] = field(default_factory=dict)
     chunk_seconds: list[float] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=dict)
-    retries: int = 0
     failures: list[ChunkFailure] = field(default_factory=list)
+    retries: int = 0
     resumed_chunks: int = 0
     pool_restarts: int = 0
-    #: Cancel-token reason that stopped the run early, or None if it
-    #: ran to completion ("deadline" | "interrupt" | "watchdog").
-    cancelled: str | None = None
     bisections: int = 0
     watchdog_kills: int = 0
     frontier_downshifts: int = 0
-    # Salvage accounting: degree-weighted work and chunk tallies at the
-    # moment the sweep ended (work_done/work_total is the completed
-    # fraction a cancelled run still banked).
-    work_done: int = 0
-    work_total: int = 0
-    chunks_done: int = 0
-    chunks_total: int = 0
+    #: Cancel-token reason that stopped the run early, or None if it
+    #: ran to completion ("deadline" | "interrupt" | "watchdog").
+    cancelled: str | None = None
+    #: Salvage state of a cancelled/incomplete sweep: completed work
+    #: ``fraction`` (degree-weighted), ``chunks_done``/``chunks_total``
+    #: and the ``unfinished`` chunk bounds; None on clean runs.
+    salvage: dict | None = None
+
+    def add_chunk(self, accumulators: dict[str, int], seconds: float,
+                  stats: dict[str, int]) -> None:
+        """Merge one completed chunk's privatized counters (valid because
+        every accumulator update is associative and commutative)."""
+        _add_counts(self.accumulators, accumulators)
+        self.chunk_seconds.append(seconds)
+        _add_counts(self.stats, stats)
+
+    def fold_aux(self, aux, multiplier: int) -> None:
+        """Fold one aux-plan correction run (an ``ExecutionResult``) in:
+        its count is subtracted ``multiplier`` times, its telemetry and
+        failures add up, and its cancel reason and salvage fill in where
+        this run has none."""
+        self.accumulators[COUNT_ACC] = (
+            self.accumulators.get(COUNT_ACC, 0) - multiplier * aux.raw_count
+        )
+        _add_counts(self.stats, aux.metrics.kernel_stats)
+        self.failures.extend(aux.failures)
+        for name in self.COUNTERS:
+            setattr(self, name,
+                    getattr(self, name) + getattr(aux.metrics, name))
+        self.cancelled = self.cancelled or aux.cancelled
+        if self.salvage is None:
+            self.salvage = aux.salvage
 
 
 class Supervisor:
@@ -340,9 +382,10 @@ class Supervisor:
 
     The caller (``execute_plan``) owns chunking, aux-plan recursion, and
     result assembly; the supervisor owns dispatch, recovery, and the
-    checkpoint.  Chunk workers are the engine's fork-pool workers; the
-    in-process serial path mirrors them with ``allow_exit=False`` fault
-    semantics and per-chunk contexts.
+    checkpoint.  Both the engine's fork-pool workers and the in-process
+    serial path run each chunk through the engine's one chunk runner
+    (:func:`repro.runtime.engine.run_chunk`), in a fresh per-chunk
+    context; the serial path passes ``allow_exit=False`` fault semantics.
     """
 
     def __init__(
@@ -449,10 +492,18 @@ class Supervisor:
                 watchdog.stop()
                 self.out.watchdog_kills = watchdog.kills
                 self.out.frontier_downshifts = watchdog.downshifts
-            self.out.work_done = self._work_done
-            self.out.work_total = self._work_total
-            self.out.chunks_done = len(self.done)
-            self.out.chunks_total = len(self.bounds)
+            if self.out.cancelled is not None or self.out.failures:
+                self.out.salvage = {
+                    "fraction": (
+                        round(self._work_done / self._work_total, 6)
+                        if self._work_total else 1.0
+                    ),
+                    "chunks_done": len(self.done),
+                    "chunks_total": len(self.bounds),
+                    "unfinished": [
+                        list(f.bounds) for f in self.out.failures[:32]
+                    ],
+                }
         return self.out
 
     # ------------------------------------------------------------------
@@ -523,13 +574,7 @@ class Supervisor:
         self.done.add(index)
         graft_worker_spans(list(spans))
         self.attempts[index] = max(self.attempts[index], attempt)
-        for key, value in accumulators.items():
-            self.out.accumulators[key] = (
-                self.out.accumulators.get(key, 0) + value
-            )
-        self.out.chunk_seconds.append(seconds)
-        for key, value in stats.items():
-            self.out.stats[key] = self.out.stats.get(key, 0) + value
+        self.out.add_chunk(accumulators, seconds, stats)
         if from_checkpoint:
             self.out.resumed_chunks += 1
         elif self.checkpoint is not None:
@@ -1020,7 +1065,7 @@ class Supervisor:
     # In-process serial path (non-POSIX hosts, workers=1, degraded mode)
     # ------------------------------------------------------------------
     def _run_serial(self, pending: list[int]) -> None:
-        from repro.runtime.engine import _merge_stats, _run_range
+        from repro.runtime.engine import run_chunk
 
         self._watch_pids = [os.getpid()]
         queue = list(pending)  # mutable: bisection pushes halves front
@@ -1041,19 +1086,11 @@ class Supervisor:
                     cache=self.cache,
                     resources=self.resources,
                 )
-                started = time.perf_counter()
                 try:
-                    with span("chunk", index=index,
-                              attempt=attempt) as chunk_span:
-                        if self.resources is not None:
-                            self.resources.check_cancel()
-                        chunk_ctx.fire_faults(index, attempt,
-                                              allow_exit=False)
-                        accumulators = _run_range(
-                            self.plan, self.graph, chunk_ctx,
-                            self.bounds[index][0], self.bounds[index][1],
-                            self.executor,
-                        )
+                    accumulators, seconds, stats = run_chunk(
+                        self.plan, self.graph, chunk_ctx, index, attempt,
+                        *self.bounds[index], self.executor, allow_exit=False,
+                    )
                 except ChunkCancelled as exc:
                     reason = getattr(exc, "reason", "interrupt")
                     if reason in ("watchdog", "preempt"):
@@ -1084,17 +1121,6 @@ class Supervisor:
                         break
                     self._backoff_sleep(attempt)
                     continue
-                # Kernel-dispatch counts are charged by the caller's
-                # global STATS delta (in-process execution, like the
-                # engine's non-POSIX fallback); only merge cache counters
-                # here to avoid double counting.
-                stats: dict[str, int] = {}
-                _merge_stats(stats, chunk_ctx.cache_counters())
-                # Under tracing the span window is the measurement (one
-                # clock, so trace and chunk_seconds cannot disagree).
-                self._record_success(
-                    index, attempt, accumulators,
-                    chunk_span.duration or (time.perf_counter() - started),
-                    stats,
-                )
+                self._record_success(index, attempt, accumulators, seconds,
+                                     stats)
                 break

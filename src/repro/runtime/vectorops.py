@@ -28,8 +28,8 @@ loop.  Trims, excludes and label filters are plain boolean masks over
 the flat ``values``.
 
 Per-kernel call counts and batch-size histograms are kept in the
-module-global :data:`VSTATS` under ``vec_``-prefixed keys; the engine
-reports per-execution deltas through the same stats channel as the
+per-thread :data:`VSTATS` under ``vec_``-prefixed keys; the engine
+reports per-chunk deltas through the same stats channel as the
 scalar kernel counters and publishes them as ``repro_vectorized_*``
 metrics (see :mod:`repro.observe`).
 
@@ -38,6 +38,8 @@ no intra-package dependencies (NumPy only).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -69,18 +71,17 @@ _EMPTY_OFFSETS.setflags(write=False)
 BATCH_BUCKETS = (1, 16, 256, 4096, 65536)
 
 
-class VecStats:
-    """Per-process batched-kernel telemetry.
+class VecStats(threading.local):
+    """Per-thread batched-kernel telemetry.
 
     Dynamic counter dict rather than fixed slots: keys are
     ``vec_<kernel>_calls``, ``vec_<kernel>_rows`` (total frontier rows
     processed) and the per-kernel batch-size buckets
     ``vec_<kernel>_batch_le_<bound>`` / ``..._batch_gt_<last>``.  The
     engine snapshots/deltas it exactly like
-    :class:`repro.runtime.setops.KernelStats`.
+    :class:`repro.runtime.setops.KernelStats` (per thread, for the same
+    reason).
     """
-
-    __slots__ = ("counts",)
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}

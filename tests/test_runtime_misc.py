@@ -253,6 +253,42 @@ class TestEngineEdgeCases:
         assert result.embedding_count == 4
 
 
+class TestConcurrentKernelCounters:
+    def test_run_counts_only_its_own_threads_kernel_calls(
+            self, house_case, monkeypatch):
+        """The daemon runs requests on several threads.  Run A's chunk is
+        held open while thread B runs another plan to completion; A must
+        still report exactly its solo kernel-call count."""
+        import threading
+
+        from repro.runtime import engine
+
+        graph, plan_a, expected = house_case
+        profile = profile_graph(graph, max_pattern_size=3, trials=60)
+        plan_b = compile_pattern(catalog.clique(4), profile)
+        solo = execute_plan(plan_a, graph).metrics.kernel_calls
+        assert solo > 0
+        real_run_range = engine._run_range
+        other: dict = {}
+
+        def run_b():
+            other["result"] = execute_plan(plan_b, graph)
+
+        def gated_run_range(run_plan, *args):
+            if run_plan is plan_a and "result" not in other:
+                thread_b = threading.Thread(target=run_b)
+                thread_b.start()
+                thread_b.join(30)
+                assert not thread_b.is_alive()
+            return real_run_range(run_plan, *args)
+
+        monkeypatch.setattr(engine, "_run_range", gated_run_range)
+        result = execute_plan(plan_a, graph)
+        assert other["result"].metrics.kernel_calls > 0
+        assert result.embedding_count == expected
+        assert result.metrics.kernel_calls == solo
+
+
 class TestProfileEdgeCases:
     def test_lookup_floor(self):
         from repro.costmodel import profile_graph

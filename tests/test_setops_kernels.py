@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import setops
-from repro.runtime.setops import (
-    EMPTY,
-    GALLOP_RATIO,
-    MERGE_CUTOFF,
-    BufferPool,
-    gallop_search,
-)
+from repro.runtime.setops import EMPTY, GALLOP_RATIO, MERGE_CUTOFF
 
 
 def arr(values) -> np.ndarray:
@@ -245,82 +239,3 @@ class TestAdaptiveDispatch:
         assert stats.total_calls == 3
         stats.reset()
         assert stats.snapshot() == dict.fromkeys(setops.KernelStats.FIELDS, 0)
-
-
-# ----------------------------------------------------------------------
-# Scalar galloping primitive
-# ----------------------------------------------------------------------
-
-class TestGallopSearch:
-    def test_matches_searchsorted_exhaustively(self):
-        a = arr([2, 3, 5, 8, 13, 21, 34, 55])
-        for target in range(-1, 60):
-            for lo in range(len(a) + 1):
-                expected = lo + int(np.searchsorted(a[lo:], target))
-                assert gallop_search(a, target, lo) == expected
-
-    def test_randomized_against_searchsorted(self):
-        rng = np.random.default_rng(13)
-        a = random_set(rng, 500, 5000)
-        for target in rng.integers(-10, 5010, size=200).tolist():
-            assert gallop_search(a, target) == int(np.searchsorted(a, target))
-
-    def test_empty_and_bounds(self):
-        assert gallop_search(EMPTY, 5) == 0
-        a = arr([10, 20, 30])
-        assert gallop_search(a, 5) == 0
-        assert gallop_search(a, 35) == 3
-        assert gallop_search(a, 20, lo=3) == 3
-
-
-# ----------------------------------------------------------------------
-# Allocation-free variants + the free-list pool
-# ----------------------------------------------------------------------
-
-class TestIntoVariantsAndPool:
-    def test_intersect_into_matches_plain(self):
-        rng = np.random.default_rng(21)
-        pool = BufferPool()
-        for an, bn in [(0, 10), (10, 0), (30, 500), (200, 220)]:
-            a = random_set(rng, an, 900) if an else EMPTY
-            b = random_set(rng, bn, 900) if bn else EMPTY
-            out = pool.acquire(min(a.size, b.size) or 1)
-            k = setops.intersect_into(a, b, out)
-            assert out[:k].tolist() == oracle_intersect(a, b)
-            pool.release(out)
-
-    def test_subtract_into_matches_plain(self):
-        rng = np.random.default_rng(22)
-        pool = BufferPool()
-        for an, bn in [(25, 0), (40, 600), (300, 310)]:
-            a = random_set(rng, an, 1000)
-            b = random_set(rng, bn, 1000) if bn else EMPTY
-            out = pool.acquire(a.size)
-            k = setops.subtract_into(a, b, out)
-            assert out[:k].tolist() == oracle_subtract(a, b)
-            pool.release(out)
-
-    def test_pool_reuses_released_buffers(self):
-        pool = BufferPool()
-        first = pool.acquire(100)
-        pool.release(first)
-        second = pool.acquire(90)  # same power-of-two class (128)
-        assert second is first
-        assert pool.stats()["pool_reuses"] == 1
-        assert pool.stats()["pool_leases"] == 2
-
-    def test_pool_release_accepts_views(self):
-        pool = BufferPool()
-        buf = pool.acquire(64)
-        pool.release(buf[:10])  # a view of the lease finds its base
-        assert pool.acquire(64) is buf
-
-    def test_pool_bounds_stock_and_rejects_foreign_shapes(self):
-        pool = BufferPool(max_per_class=2)
-        buffers = [pool.acquire(16) for _ in range(4)]
-        for buf in buffers:
-            pool.release(buf)
-        assert pool.stats()["pool_idle"] == 2  # capped per class
-        odd = np.empty(17, dtype=setops.DTYPE)  # not pool-shaped
-        pool.release(odd)
-        assert pool.stats()["pool_idle"] == 2

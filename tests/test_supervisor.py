@@ -347,6 +347,29 @@ class TestCheckpointResume:
         assert second.metrics.resumed_chunks > first.metrics.resumed_chunks
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_run_reports_the_recorded_kernel_stats(
+            self, workers, tmp_path):
+        """Every chunk checkpoints its own full stats, so a run resumed
+        from the store reports what the first run measured — serial and
+        pool runs alike."""
+        from repro.graph import datasets
+
+        graph = datasets.load("mc")
+        profile = profile_graph(graph, max_pattern_size=3, trials=60)
+        plan = compile_pattern(catalog.house(), profile)
+        options = EngineOptions(workers=workers)
+        path = tmp_path / "stats.jsonl"
+        first = execute_plan(plan, graph, options=options,
+                             policy=RunPolicy(checkpoint=str(path)))
+        second = execute_plan(plan, graph, options=options,
+                              policy=RunPolicy(checkpoint=str(path)))
+        assert second.embedding_count == first.embedding_count
+        assert second.metrics.resumed_chunks > 0
+        assert first.metrics.kernel_calls > 0
+        assert second.metrics.kernel_stats == first.metrics.kernel_stats
+
+
 class TestForkStateReentrancy:
     def test_registrations_do_not_clobber_each_other(self, case):
         graph, plan, expected = case
@@ -365,13 +388,15 @@ class TestForkStateReentrancy:
     def test_worker_reads_its_own_token(self, case, monkeypatch):
         """Simulate a pool child: the token selects the right state."""
         graph, plan, expected = case
-        decoy = engine._register_fork_state({"plan": None, "graph": None,
-                                             "executor": "codegen",
-                                             "predicates": []})
-        token = engine._register_fork_state({
-            "plan": plan, "graph": graph, "executor": "codegen",
-            "predicates": [],
-        })
+        # Complete fork states, as Supervisor._run_pool writes them.
+        base = {"executor": "codegen", "predicates": [], "faults": None,
+                "cache": True, "resources": None}
+        decoy = engine._register_fork_state(
+            {**base, "plan": None, "graph": None}
+        )
+        token = engine._register_fork_state(
+            {**base, "plan": plan, "graph": graph}
+        )
         try:
             engine._set_worker_token(token)
             index, attempt, accumulators, seconds, stats, spans = (
