@@ -40,6 +40,7 @@ from repro.observe.trace import span
 from repro.patterns.conversion import edge_induced_requirements
 from repro.patterns.isomorphism import automorphisms, canonical_code
 from repro.patterns.pattern import Pattern
+from repro.runtime.batchrun import execute_batch, trivial_count
 from repro.runtime.context import ExecutionContext
 from repro.runtime.engine import EngineOptions, ExecutionResult, execute_plan
 from repro.runtime.partial_embedding import PartialEmbedding, materialize
@@ -341,10 +342,10 @@ class DecoMine:
         started = time.perf_counter()
         result: ExecutionResult | None = None
         if request.mode == "count":
-            count, result = self._count_request(request, options, policy,
-                                                events)
+            count, result, key = self._count_request(
+                request, options, policy, events)
         elif request.mode == "mine":
-            plan, _, _ = self._plan_with_provenance(
+            plan, key, _ = self._plan_with_provenance(
                 request.pattern, "emit", False, (), options, events)
             emitter = self._make_emitter(plan, process_partial_embedding)
             ctx = ExecutionContext(plan.root.num_tables, emit=emitter)
@@ -355,7 +356,7 @@ class DecoMine:
                 Constraint(pred=index, vertices=tuple(vertices))
                 for index, vertices in enumerate(request.constraints)
             )
-            plan, _, _ = self._plan_with_provenance(
+            plan, key, _ = self._plan_with_provenance(
                 request.pattern, "count", False, specs, options, events)
             ctx = ExecutionContext(
                 plan.root.num_tables, predicates=list(predicates)
@@ -375,7 +376,7 @@ class DecoMine:
                        else int(count or 0)),
             mode=request.mode,
             run_id=result.run_id if result is not None else "",
-            plan_key=events[-1][0] if events else "",
+            plan_key=key,
             plan_cache_hit=bool(events) and all(hit for _, hit in events),
             seconds=time.perf_counter() - started,
             cancelled=result.cancelled if result is not None else None,
@@ -407,8 +408,6 @@ class DecoMine:
         each carries the batch's sharing report under
         ``metrics["sharing"]``.
         """
-        from repro.runtime.batchrun import execute_batch
-
         requests = list(requests)
         if not requests:
             raise ReproError(
@@ -501,53 +500,66 @@ class DecoMine:
         return response.count
 
     def _count_request(self, request, options, policy, events):
-        pattern = request.pattern
-        if pattern.n == 1:
-            if pattern.is_labeled:
-                count = int(
-                    self.graph.vertices_with_label(pattern.labels[0]).size
-                )
-            else:
-                count = self.graph.num_vertices
-            return count, None
-        if not request.induced:
-            plan, _, _ = self._plan_with_provenance(
-                pattern, "count", False, (), options, events)
-            return self._run_count(plan, options, policy)
-        return self._vertex_induced_count(pattern, options, policy, events)
+        """Run a count request's terms and sum them.
 
-    def _vertex_induced_count(self, pattern, options, policy, events):
-        if pattern.is_clique and not pattern.is_labeled:
+        Returns ``(count, result, plan_key)``.  ``count`` is None when a
+        run did not complete; ``result`` is the last run's (None when no
+        plan ran).
+        """
+        terms, key = self._count_terms(
+            request.pattern, request.induced, options, events)
+        total, result = 0, None
+        for coefficient, pattern, _, plan in terms:
+            if plan is None:
+                count = trivial_count(self.graph, pattern)
+            else:
+                count, result = self._run_count(plan, options, policy)
+                if count is None:
+                    return None, result, key
+            total += coefficient * count
+        return total, result, key
+
+    def _count_terms(self, pattern, induced, options, events):
+        """Plan a count as ``(coefficient, pattern, induced, plan)`` terms.
+
+        The count is ``sum(coefficient * embeddings(pattern, induced))``
+        over the terms; ``plan`` is None for a single-vertex pattern,
+        whose count is read off the graph.  Vertex-induced counts run
+        directly or convert from edge-induced host counts, whichever
+        the cost model prices lower (paper section 2.2).  Both
+        :meth:`submit` and the batch compiler plan through here.
+
+        Returns ``(terms, plan_key)``, where ``plan_key`` is the
+        persistent cache key of the first term's plan ("" if none).
+        """
+        def consult(pattern, induced):
+            plan, key, _ = self._plan_with_provenance(
+                pattern, "count", induced, (), options, events)
+            return plan, key
+
+        if pattern.n == 1:
+            return [(1, pattern, False, None)], ""
+        if not induced or (pattern.is_clique and not pattern.is_labeled):
             # A clique's vertex- and edge-induced counts coincide.
-            plan, _, _ = self._plan_with_provenance(
-                pattern, "count", False, (), options, events)
-            return self._run_count(plan, options, policy)
-        direct_plan, _, _ = self._plan_with_provenance(
-            pattern, "count", True, (), options, events)
+            plan, key = consult(pattern, False)
+            return [(1, pattern, False, plan)], key
+        direct, direct_key = consult(pattern, True)
         missing_edges = pattern.n * (pattern.n - 1) // 2 - pattern.num_edges
         if pattern.is_labeled or not (pattern.n <= 5 or missing_edges <= 3):
             # Conversion operates on unlabeled patterns, and its host
             # closure (all same-vertex supergraphs) explodes for large
             # sparse patterns — 2^missing_edges in the worst case.  The
             # direct vertex-induced plan is the paper's option (1).
-            return self._run_count(direct_plan, options, policy)
+            return [(1, pattern, True, direct)], direct_key
         requirements = edge_induced_requirements(pattern)
-        host_plans = [
-            self._plan_with_provenance(
-                host, "count", False, (), options, events)[0]
-            for host, _ in requirements
-        ]
-        indirect_cost = sum(plan.cost for plan in host_plans)
-        if direct_plan.cost <= indirect_cost:
-            return self._run_count(direct_plan, options, policy)
-        total = 0
-        result = None
-        for (host, coefficient), plan in zip(requirements, host_plans):
-            count, result = self._run_count(plan, options, policy)
-            if count is None:
-                return None, result
-            total += coefficient * count
-        return total, result
+        hosts = [consult(host, False) for host, _ in requirements]
+        if direct.cost <= sum(plan.cost for plan, _ in hosts):
+            return [(1, pattern, True, direct)], direct_key
+        terms = [(coefficient, host, False, plan)
+                 for (host, coefficient), (plan, _)
+                 in zip(requirements, hosts)]
+        first_host_key = hosts[0][1]
+        return terms, first_host_key
 
     def _run_count(self, plan, options, policy):
         result = self._execute(plan, options=options, policy=policy)

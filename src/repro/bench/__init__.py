@@ -1,26 +1,13 @@
-"""Benchmark harness: timing, reporting, shared workloads, trajectory."""
+"""Paper-table benchmark harness: timing, reporting, shared workloads."""
 
 from repro.bench.harness import (
     Measurement,
     measure_cell,
-    median,
-    repeat_call,
     speedup,
-    spread,
     time_call,
     time_call_preemptive,
 )
 from repro.bench.reporting import Table
-from repro.bench.trajectory import (
-    ComparisonReport,
-    TrajectoryPoint,
-    WorkloadPoint,
-    compare_points,
-    load_points,
-    measure_suite,
-    validate_point,
-    write_point,
-)
 from repro.bench.workloads import (
     SYSTEM_NAMES,
     make_system,
@@ -34,20 +21,9 @@ __all__ = [
     "measure_cell",
     "speedup",
     "time_call",
-    "repeat_call",
-    "median",
-    "spread",
     "Table",
     "SYSTEM_NAMES",
     "make_system",
     "profile_for",
     "session_for",
-    "TrajectoryPoint",
-    "WorkloadPoint",
-    "ComparisonReport",
-    "measure_suite",
-    "write_point",
-    "load_points",
-    "compare_points",
-    "validate_point",
 ]

@@ -7,10 +7,9 @@ at reproduction scale.  The harness provides:
   over-budget runs to the paper's "T (timeout)" table entries and budget
   blowups (:class:`~repro.exceptions.BudgetExceededError`) to its
   "C (crashed)" entries;
-* :class:`Measurement` — one table cell, formatted like the paper's;
-* :func:`repeat_call` / :func:`median` / :func:`spread` — repeated
-  timing with robust summary statistics, the raw material of the perf
-  trajectory (:mod:`repro.bench.trajectory`).
+* :class:`Measurement` — one table cell, formatted like the paper's.
+
+Performance of the system itself is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from typing import Callable
 from repro.exceptions import BudgetExceededError
 from repro.observe.trace import span
 
-__all__ = ["Measurement", "time_call", "speedup", "repeat_call", "median",
-           "spread"]
+__all__ = ["Measurement", "time_call", "speedup"]
 
 
 @dataclass
@@ -140,41 +138,6 @@ def measure_cell(fn: Callable, timeout: float, warm: bool = True) -> Measurement
         return probe
     time_call(fn)  # populate caches in-parent (bounded: probe succeeded)
     return time_call(fn)
-
-
-def repeat_call(fn: Callable, *args, repeats: int = 3,
-                **kwargs) -> list[float]:
-    """Wall-clock seconds of ``repeats`` back-to-back calls."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    seconds = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn(*args, **kwargs)
-        seconds.append(time.perf_counter() - started)
-    return seconds
-
-
-def median(values: list[float]) -> float:
-    """Middle value (mean of the middle two for even counts)."""
-    if not values:
-        raise ValueError("median of an empty sample")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def spread(values: list[float]) -> float:
-    """Median absolute deviation: a robust run-to-run noise estimate.
-
-    Unlike the standard deviation, one pathological repeat (a GC pause,
-    a CI-host hiccup) barely moves it — which is what makes it safe to
-    scale a regression threshold by.
-    """
-    center = median(values)
-    return median([abs(v - center) for v in values])
 
 
 def speedup(baseline: Measurement, ours: Measurement) -> str:

@@ -4,14 +4,13 @@ Examples::
 
     python -m repro count --dataset wikivote --pattern house
     python -m repro count --graph my.snap.txt --pattern 5-cycle --induced
+    python -m repro batch --dataset mico --pattern triangle,4-cycle,house
     python -m repro census --dataset emaileucore --size 4
     python -m repro fsm --dataset mico --support 20
     python -m repro explain --dataset wikivote --pattern 4-chain
     python -m repro stats --dataset wikivote --pattern house --format json
     python -m repro count --dataset mico --pattern house --progress --ledger
     python -m repro history --last 10
-    python -m repro perf run --suite smoke
-    python -m repro perf check
     python -m repro datasets
     python -m repro serve --dataset wikivote --socket /tmp/repro.sock
     python -m repro submit --socket /tmp/repro.sock --pattern house
@@ -281,41 +280,6 @@ def main(argv: list[str] | None = None) -> int:
     history.add_argument("--no-aux", action="store_true",
                          help="hide aux (shrinkage-correction) runs")
 
-    perf = sub.add_parser(
-        "perf",
-        help="perf trajectory: measure, regression-check, validate",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    perf_run = perf_sub.add_parser(
-        "run", help="measure a suite and append a BENCH_<seq>.json point")
-    perf_run.add_argument("--suite", default="smoke",
-                          help="workload suite name (default smoke)")
-    perf_run.add_argument("--repeats", type=int, default=3,
-                          help="timed repeats per workload (default 3)")
-    perf_run.add_argument("--root", default=".",
-                          help="directory holding the BENCH_*.json series")
-    perf_run.add_argument("--slowdown", type=float, default=1.0,
-                          metavar="FACTOR",
-                          help="artificially inflate measured times by "
-                               "FACTOR (regression-detector self-test)")
-    perf_check = perf_sub.add_parser(
-        "check", help="compare the newest point against a baseline")
-    perf_check.add_argument("--baseline", metavar="FILE",
-                            help="baseline point (default: second-newest "
-                                 "BENCH_*.json under --root)")
-    perf_check.add_argument("--candidate", metavar="FILE",
-                            help="candidate point (default: newest "
-                                 "BENCH_*.json under --root)")
-    perf_check.add_argument("--root", default=".")
-    perf_check.add_argument("--threshold-pct", type=float, default=None,
-                            help="relative regression bar (default 20)")
-    perf_check.add_argument("--noise-mult", type=float, default=None,
-                            help="dispersion multiple a slowdown must also "
-                                 "clear (default 3)")
-    perf_validate = perf_sub.add_parser(
-        "validate", help="schema-check trajectory files")
-    perf_validate.add_argument("files", nargs="+", metavar="FILE")
-
     serve = sub.add_parser(
         "serve",
         help="run the mining daemon: one shared-memory graph, concurrent "
@@ -374,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "history":
         return _run_history(args)
-
-    if args.command == "perf":
-        return _run_perf(args)
 
     if args.command in ("submit", "ping", "shutdown"):
         return _run_serve_client(args)
@@ -794,90 +755,6 @@ def _run_history(args) -> int:
         )
     print(table.render())
     return 0
-
-
-def _run_perf(args) -> int:
-    """``repro perf run|check|validate``: the perf trajectory."""
-    from repro.bench import trajectory
-
-    if args.perf_command == "run":
-        suite_factory = trajectory.SUITES.get(args.suite)
-        if suite_factory is None:
-            print(f"error: unknown suite {args.suite!r}; available: "
-                  f"{', '.join(sorted(trajectory.SUITES))}", file=sys.stderr)
-            return 2
-        point = trajectory.measure_suite(
-            args.suite, suite_factory(), repeats=args.repeats,
-            root=args.root,
-        )
-        if args.slowdown != 1.0:
-            # Self-test hook: lets CI prove the detector actually fires.
-            point.workloads = [
-                trajectory.WorkloadPoint(
-                    w.name, w.seconds * args.slowdown, w.dispersion,
-                    w.repeats, w.value,
-                )
-                for w in point.workloads
-            ]
-        path = trajectory.write_point(point, args.root)
-        for w in point.workloads:
-            print(f"{w.name:24} {w.seconds:.4f}s "
-                  f"(±{w.dispersion:.4f}s over {w.repeats} repeats)")
-        print(f"trajectory point: {path} (commit {point.commit or '?'})",
-              file=sys.stderr)
-        return 0
-
-    if args.perf_command == "check":
-        try:
-            if args.candidate:
-                candidate = trajectory.load_point(args.candidate)
-            else:
-                points = trajectory.load_points(args.root)
-                if not points:
-                    print(f"error: no BENCH_*.json under {args.root}; "
-                          f"run `repro perf run` first", file=sys.stderr)
-                    return 2
-                candidate = points[-1]
-            if args.baseline:
-                baseline = trajectory.load_point(args.baseline)
-            else:
-                points = trajectory.load_points(args.root)
-                previous = [p for p in points if p.seq != candidate.seq]
-                if not previous:
-                    print("only one trajectory point exists; nothing to "
-                          "compare against", file=sys.stderr)
-                    return 0
-                baseline = previous[-1]
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        kwargs = {}
-        if args.threshold_pct is not None:
-            kwargs["threshold_pct"] = args.threshold_pct
-        if args.noise_mult is not None:
-            kwargs["noise_mult"] = args.noise_mult
-        report = trajectory.compare_points(baseline, candidate, **kwargs)
-        print(report.render())
-        if not report.ok:
-            for regression in report.regressions:
-                print(f"REGRESSION: {regression.describe()}",
-                      file=sys.stderr)
-            return 1
-        return 0
-
-    if args.perf_command == "validate":
-        status = 0
-        for path in args.files:
-            try:
-                trajectory.load_point(path)
-            except ReproError as exc:
-                print(f"{path}: INVALID — {exc}", file=sys.stderr)
-                status = 1
-            else:
-                print(f"{path}: ok")
-        return status
-
-    raise SystemExit(f"unknown perf command {args.perf_command}")
 
 
 @contextlib.contextmanager

@@ -13,11 +13,11 @@ the substrate the serve daemon's request coalescing batches into.
    count fans out to every submitting position.
 2. **Expand into census terms.** Each query becomes a linear
    combination of *census problems* — edge-induced embedding counts of
-   concrete patterns.  ``induced=False`` is one term; ``induced=True``
-   mirrors the session's conversion logic (cliques collapse to the
-   edge-induced count, small dense patterns may convert through their
-   edge-induced host closure, everything else plans a direct
-   vertex-induced census).
+   concrete patterns.  The terms come from the session's
+   ``_count_terms``, the same expansion a sequential ``submit`` runs
+   (cliques collapse to the edge-induced count, small dense patterns
+   may convert through their edge-induced host closure, everything
+   else plans a direct vertex-induced census).
 3. **Factor shared subpatterns.** Every census problem becomes one DAG
    node keyed by canonical code.  A decomposition plan's globally
    counted shrinkage corrections (its ``aux_plans``) become *edges* to
@@ -53,7 +53,6 @@ from repro.compiler.specs import DirectSpec
 from repro.exceptions import ReproError
 from repro.observe.ledger import note_phase
 from repro.observe.trace import span
-from repro.patterns.conversion import edge_induced_requirements
 from repro.patterns.isomorphism import canonical_code
 from repro.patterns.pattern import Pattern
 
@@ -103,7 +102,7 @@ class BatchQuery:
     members: tuple[int, ...]
     #: Aggregation: count = sum(coefficient * node_value) over terms.
     terms: tuple[tuple[int, tuple], ...] = ()
-    #: Persistent plan-cache provenance of the query's primary plan.
+    #: Persistent plan-cache key of the first term's plan ("" if none).
     plan_key: str = ""
     plan_cache_hit: bool = False
 
@@ -235,17 +234,12 @@ class _BatchBuilder:
 
     # ------------------------------------------------------------------
     def ensure_node(self, pattern: Pattern, induced: bool,
-                    plan: CompiledPlan | None = None,
-                    events: list | None = None) -> tuple:
+                    plan: CompiledPlan) -> tuple:
         """Register the census node for ``pattern`` (post-order), reusing
         an existing node for any isomorphic earlier registration."""
         key = _census_key(pattern, induced)
         if key in self.nodes:
             return key
-        if plan is None:
-            plan, _, _ = self.session._plan_with_provenance(
-                pattern, "count", induced, (), self.options, events
-            )
         deps = []
         for aux_plan, multiplier in plan.aux_plans:
             child_key = self.ensure_node(
@@ -269,29 +263,32 @@ class _BatchBuilder:
     # ------------------------------------------------------------------
     def expand_query(self, pattern: Pattern, induced: bool,
                      members: tuple[int, ...]) -> BatchQuery:
-        """Turn one deduped workload entry into aggregation terms."""
+        """Turn one deduped workload entry into aggregation terms.
+
+        The session's ``_count_terms`` picks the terms, exactly as a
+        sequential ``submit`` would; each term becomes one node.
+        """
         events: list[tuple[str, bool]] = []
-        if pattern.n == 1:
-            key = _census_key(pattern, False)
-            if key not in self.nodes:
-                self.nodes[key] = BatchNode(
-                    key=key, pattern=pattern, kind="trivial"
+        terms, plan_key = self.session._count_terms(
+            pattern, induced, self.options, events)
+        keyed = []
+        for coefficient, term_pattern, term_induced, plan in terms:
+            if plan is None:
+                key = _census_key(term_pattern, False)
+                self.nodes.setdefault(key, BatchNode(
+                    key=key, pattern=term_pattern, kind="trivial"))
+            else:
+                key = self.ensure_node(term_pattern, term_induced, plan)
+                self.plans_sequential += len(members) * _plan_executions(
+                    self._node_plan_for_accounting(key)
                 )
-            terms = ((1, key),)
-        elif not induced:
-            key = self.ensure_node(pattern, False, events=events)
-            self.plans_sequential += len(members) * _plan_executions(
-                self._node_plan_for_accounting(key)
-            )
-            terms = ((1, key),)
-        else:
-            terms = self._induced_terms(pattern, members, events)
+            keyed.append((coefficient, key))
         return BatchQuery(
             pattern=pattern,
             induced=induced,
             members=members,
-            terms=tuple(terms),
-            plan_key=events[0][0] if events else "",
+            terms=tuple(keyed),
+            plan_key=plan_key,
             plan_cache_hit=bool(events) and all(hit for _, hit in events),
         )
 
@@ -307,47 +304,6 @@ class _BatchBuilder:
             tuple(self._node_plan_for_accounting(child)
                   for child, _ in node.deps)
         )
-
-    def _induced_terms(self, pattern, members, events):
-        """Mirror ``DecoMine._vertex_induced_count``'s plan choice."""
-        session = self.session
-        if pattern.is_clique and not pattern.is_labeled:
-            key = self.ensure_node(pattern, False, events=events)
-            self.plans_sequential += len(members) * _plan_executions(
-                self._node_plan_for_accounting(key)
-            )
-            return ((1, key),)
-        direct_plan, _, _ = session._plan_with_provenance(
-            pattern, "count", True, (), self.options, events
-        )
-        missing = pattern.n * (pattern.n - 1) // 2 - pattern.num_edges
-        if pattern.is_labeled or not (pattern.n <= 5 or missing <= 3):
-            key = self.ensure_node(pattern, True, plan=direct_plan)
-            self.plans_sequential += len(members) * _plan_executions(
-                self._node_plan_for_accounting(key)
-            )
-            return ((1, key),)
-        requirements = edge_induced_requirements(pattern)
-        host_plans = [
-            session._plan_with_provenance(
-                host, "count", False, (), self.options, events)[0]
-            for host, _ in requirements
-        ]
-        indirect_cost = sum(plan.cost for plan in host_plans)
-        if direct_plan.cost <= indirect_cost:
-            key = self.ensure_node(pattern, True, plan=direct_plan)
-            self.plans_sequential += len(members) * _plan_executions(
-                self._node_plan_for_accounting(key)
-            )
-            return ((1, key),)
-        terms = []
-        for (host, coefficient), plan in zip(requirements, host_plans):
-            key = self.ensure_node(host, False, plan=plan)
-            self.plans_sequential += len(members) * _plan_executions(
-                self._node_plan_for_accounting(key)
-            )
-            terms.append((coefficient, key))
-        return tuple(terms)
 
     # ------------------------------------------------------------------
     def fuse_direct(self) -> tuple[list[BatchNode], int, int, int, int]:

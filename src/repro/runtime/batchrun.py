@@ -43,7 +43,8 @@ from repro.runtime.engine import EngineOptions, execute_plan
 from repro.runtime.setops import DEFAULT_CACHE_CAPACITY, SetOpCache
 from repro.runtime.supervisor import RunPolicy
 
-__all__ = ["BatchNodeResult", "BatchResult", "execute_batch"]
+__all__ = ["BatchNodeResult", "BatchResult", "execute_batch",
+           "trivial_count"]
 
 
 @dataclass
@@ -93,7 +94,8 @@ def _shared_cache(options: EngineOptions):
     return None
 
 
-def _trivial_count(graph, pattern) -> int:
+def trivial_count(graph, pattern) -> int:
+    """Embeddings of a single-vertex pattern: no plan runs."""
     if pattern.is_labeled:
         return int(graph.vertices_with_label(pattern.labels[0]).size)
     return int(graph.num_vertices)
@@ -144,8 +146,8 @@ def execute_batch(
                 if cancelled is not None or error is not None:
                     break
                 if node.kind == "trivial":
-                    values[node.key] = _trivial_count(exec_graph,
-                                                      node.pattern)
+                    values[node.key] = trivial_count(exec_graph,
+                                                     node.pattern)
                     node_results.append(BatchNodeResult(
                         key=node.key, label=node.label, kind="trivial",
                         ok=True,

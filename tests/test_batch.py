@@ -221,6 +221,24 @@ class TestBatchResponses:
         assert responses[0].run_id == responses[0].batch_id
         assert all(response.plan_key for response in responses)
 
+    @pytest.mark.parametrize("pattern, runs_direct", [
+        (catalog.house(), True),     # the direct induced plan is cheaper
+        (catalog.chain(4), False),   # converts through edge-induced hosts
+    ], ids=["house", "4-chain"])
+    def test_plan_key_names_the_first_term_on_both_paths(self, pattern,
+                                                         runs_direct):
+        from repro.graph import datasets
+
+        session = DecoMine(datasets.load("mc"))
+        request = MiningRequest(pattern=pattern, induced=True)
+        single = session.submit(request)
+        [batched] = session.submit_batch([request])
+        assert single.count == batched.count
+        assert single.plan_key == batched.plan_key
+        direct_key = session.explain_json(
+            pattern, induced=True)["plan_cache"]["key"]
+        assert (single.plan_key == direct_key) is runs_direct
+
     def test_get_pattern_counts_facade(self, graph):
         session = DecoMine(graph)
         counts = session.get_pattern_counts(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.baselines import reference
+from repro import cli
 from repro.cli import main, parse_pattern
 from repro.exceptions import PatternError
 from repro.graph import io
@@ -16,6 +19,18 @@ def edge_list_file(tmp_path, small_random_graph):
     path = tmp_path / "graph.txt"
     io.save_edge_list(small_random_graph, path)
     return str(path)
+
+
+def test_docstring_examples_cover_every_subcommand(capsys):
+    """The module docstring shows one example per registered subcommand."""
+    documented = set(re.findall(r"python -m repro (\w+)", cli.__doc__))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    registered = set(
+        re.search(r"\{([\w,]+)\}", capsys.readouterr().out)
+        .group(1).split(",")
+    )
+    assert documented == registered
 
 
 class TestParsePattern:
@@ -191,81 +206,6 @@ class TestHistoryCommand:
         assert main(["history", "--ledger", str(tmp_path / "l.jsonl"),
                      "--since", "yesterday-ish"]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestPerfCommand:
-    def make_point(self, root, seconds, dispersion=0.0):
-        from repro.bench.trajectory import (
-            TrajectoryPoint, WorkloadPoint, write_point,
-        )
-
-        return write_point(TrajectoryPoint(
-            suite="smoke",
-            workloads=[WorkloadPoint("w", seconds, dispersion, 3)],
-        ), root)
-
-    def test_check_flags_injected_slowdown(self, capsys, tmp_path):
-        self.make_point(tmp_path, 1.0)
-        self.make_point(tmp_path, 1.3)
-        assert main(["perf", "check", "--root", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "REGRESSION" in captured.err
-
-    def test_check_passes_identical_rerun(self, capsys, tmp_path):
-        self.make_point(tmp_path, 1.0, 0.01)
-        self.make_point(tmp_path, 1.0, 0.01)
-        assert main(["perf", "check", "--root", str(tmp_path)]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_check_with_single_point_is_a_noop(self, capsys, tmp_path):
-        self.make_point(tmp_path, 1.0)
-        assert main(["perf", "check", "--root", str(tmp_path)]) == 0
-        assert "nothing to compare" in capsys.readouterr().err
-
-    def test_check_without_points_errors(self, capsys, tmp_path):
-        assert main(["perf", "check", "--root", str(tmp_path)]) == 2
-        assert "no BENCH_" in capsys.readouterr().err
-
-    def test_explicit_baseline_and_candidate(self, capsys, tmp_path):
-        base = self.make_point(tmp_path, 1.0)
-        cand = self.make_point(tmp_path, 2.0)
-        assert main(["perf", "check", "--baseline", str(base),
-                     "--candidate", str(cand)]) == 1
-        capsys.readouterr()
-        assert main(["perf", "check", "--baseline", str(base),
-                     "--candidate", str(base)]) == 0
-
-    def test_validate(self, capsys, tmp_path):
-        good = self.make_point(tmp_path, 1.0)
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 0}')
-        assert main(["perf", "validate", str(good)]) == 0
-        capsys.readouterr()
-        assert main(["perf", "validate", str(good), str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert "ok" in captured.out
-        assert "INVALID" in captured.err
-
-    def test_run_writes_a_point(self, capsys, tmp_path, monkeypatch):
-        import repro.bench.trajectory as trajectory
-
-        monkeypatch.setitem(
-            trajectory.SUITES, "unit",
-            lambda: {"tiny": lambda: 42},
-        )
-        assert main(["perf", "run", "--suite", "unit", "--repeats", "2",
-                     "--root", str(tmp_path)]) == 0
-        captured = capsys.readouterr()
-        assert "tiny" in captured.out
-        assert (tmp_path / "BENCH_0001.json").exists()
-        point = trajectory.load_point(tmp_path / "BENCH_0001.json")
-        assert point.workload("tiny").value == 42
-
-    def test_run_unknown_suite(self, capsys, tmp_path):
-        assert main(["perf", "run", "--suite", "nope",
-                     "--root", str(tmp_path)]) == 2
-        assert "unknown suite" in capsys.readouterr().err
 
 
 class TestBatchCommand:
