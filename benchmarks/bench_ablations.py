@@ -65,8 +65,9 @@ def test_ablation_hashtable(report, run_once):
         plan_timings = {}
         for naive in (False, True):
             ctx = ExecutionContext(plan.root.num_tables,
-                                   emit=lambda i, v, c: None,
-                                   naive_tables=naive)
+                                   emit=lambda i, v, c: None)
+            if naive:
+                ctx.tables = [NaiveTable() for _ in ctx.tables]
             started = time.perf_counter()
             plan.function(graph, ctx)
             plan_timings[naive] = time.perf_counter() - started

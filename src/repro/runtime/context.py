@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.graph import vertex_set as vs
-from repro.runtime.hashtable import NaiveTable, ShrinkageTable
+from repro.runtime.hashtable import ShrinkageTable
 from repro.runtime.setops import DEFAULT_CACHE_CAPACITY, SetOpCache
 
 __all__ = ["ExecutionContext"]
@@ -42,9 +42,6 @@ class ExecutionContext:
     emit:
         Sink for ``EmitPartial`` — receives ``(subpattern_index,
         graph_vertices, count)``.
-    naive_tables:
-        Use the physically-clearing table (the ablation baseline of the
-        section-5 O(1)-clear trick).
     cache:
         Per-chunk set-op memo cache policy: ``True`` (default) builds a
         :class:`~repro.runtime.setops.SetOpCache` with the default entry
@@ -70,13 +67,11 @@ class ExecutionContext:
         num_tables: int = 0,
         predicates: Sequence[Callable] = (),
         emit: EmitFn | None = None,
-        naive_tables: bool = False,
         cache: SetOpCache | bool | int | None = True,
         faults=None,
         resources=None,
     ) -> None:
-        table_cls = NaiveTable if naive_tables else ShrinkageTable
-        self.tables = [table_cls() for _ in range(num_tables)]
+        self.tables = [ShrinkageTable() for _ in range(num_tables)]
         self.predicates = list(predicates)
         self.emit = emit if emit is not None else _ignore_emit
         self.faults = faults

@@ -9,7 +9,9 @@ death or wedged workers, retries chunks that raised (capped exponential
 backoff), enforces per-chunk timeouts and a whole-run deadline, and
 checkpoints completed chunks so a killed run resumes by skipping them.
 
-Recovery ladder, mildest first:
+Recovery ladder, mildest first.  Whichever loop collects a chunk's
+outcome (the pool's ready loop, a drain, or the in-process serial path),
+:meth:`Supervisor._settle` classifies it; the ladder is written once:
 
 1. **Chunk exception** — the worker survives; the chunk is requeued
    with backoff until ``RunBudget.max_chunk_retries`` is exhausted.
@@ -385,7 +387,8 @@ class Supervisor:
     checkpoint.  Both the engine's fork-pool workers and the in-process
     serial path run each chunk through the engine's one chunk runner
     (:func:`repro.runtime.engine.run_chunk`), in a fresh per-chunk
-    context; the serial path passes ``allow_exit=False`` fault semantics.
+    context (the serial path passes ``allow_exit=False``), and every
+    outcome, whichever loop collects it, is classified by :meth:`_settle`.
     """
 
     def __init__(
@@ -548,16 +551,11 @@ class Supervisor:
             return None
         timer = threading.Timer(
             max(0.0, self.deadline_at - time.monotonic()),
-            self._deadline_cancel,
+            self._cancel, args=("deadline",),
         )
         timer.daemon = True
         timer.start()
         return timer
-
-    def _deadline_cancel(self) -> None:
-        token = self._token()
-        if token is not None and not token.cancelled:
-            token.cancel("deadline")
 
     # ------------------------------------------------------------------
     # Shared bookkeeping
@@ -769,42 +767,68 @@ class Supervisor:
         self.out.bisections += 1
         return [self._add_chunk((start, mid)), self._add_chunk((mid, stop))]
 
-    def _handle_resource_failure(self, index, attempt, reason, exc,
-                                 queue: dict) -> None:
-        """Bisect a memory/watchdog/timeout casualty into the pool
+    # ------------------------------------------------------------------
+    # The recovery ladder
+    # ------------------------------------------------------------------
+    def _casualty(self, index, attempt, reason, exc, requeue) -> None:
+        """Bisect a memory/watchdog/timeout casualty into the caller's
         queue; only a minimum-width chunk falls back to whole-chunk
         retry (and eventually a structured failure)."""
         self.attempts[index] = max(self.attempts[index], attempt)
         children = self._bisect(index)
         if children is not None:
-            now = time.monotonic()
             for child in children:
-                queue[child] = now
-            return
-        if self._record_failure(index, attempt, reason, exc):
-            queue[index] = time.monotonic() + self.budget.backoff_for(attempt)
+                requeue(child, 0.0)
+        elif self._record_failure(index, attempt, reason, exc):
+            requeue(index, time.monotonic() + self.budget.backoff_for(attempt))
 
-    def _serial_resource_failure(self, index, attempt, reason, exc,
-                                 queue: list) -> bool:
-        """Serial-path twin of :meth:`_handle_resource_failure`; True
-        iff ``index`` should be retried in place (children are pushed
-        to the front of the serial queue instead)."""
-        self.attempts[index] = max(self.attempts[index], attempt)
-        children = self._bisect(index)
-        if children is not None:
-            queue[:0] = children
-            return False
-        if self._record_failure(index, attempt, reason, exc):
-            self._backoff_sleep(attempt)
-            return True
-        return False
+    def _stop(self, indices, reason: str) -> None:
+        """Fail ``indices`` for a run-level stop (``"deadline"`` or
+        ``"interrupt"``) and mark the run cancelled."""
+        self._fail_remaining(
+            indices, "deadline" if reason == "deadline" else "cancelled"
+        )
+        self.out.cancelled = self.out.cancelled or reason
 
-    def _backoff_sleep(self, attempt: int) -> None:
-        pause = self.budget.backoff_for(attempt)
-        if self.deadline_at is not None:
-            pause = min(pause, max(0.0, self.deadline_at - time.monotonic()))
-        if pause:
-            time.sleep(pause)
+    def _settle(self, index: int, attempt: int, outcome, requeue,
+                charge: bool = False) -> str | None:
+        """Classify one chunk attempt's outcome: the one recovery ladder.
+
+        ``outcome()`` returns the worker's result tuple or raises what
+        the chunk raised; ``requeue(index, not_before)`` puts a chunk
+        back on the caller's queue.  A watchdog kill, a
+        :class:`MemoryError` or a ``"preempt"`` park of the ``charge``-d
+        chunk (the one whose timeout caused the preemption) is bisected;
+        any other park is requeued uncharged; a deadline/interrupt
+        cancel fails the chunk and the run; any other exception is
+        retried after backoff.  Returns the cancel reason of a
+        :class:`ChunkCancelled` outcome, else None.
+        """
+        try:
+            result = outcome()
+        except ChunkCancelled as exc:
+            reason = exc.reason
+            if reason in ("deadline", "interrupt"):
+                self.attempts[index] = max(self.attempts[index], attempt)
+                self._stop([index], reason)
+            elif reason == "watchdog" or charge:
+                self._casualty(
+                    index, attempt,
+                    "watchdog" if reason == "watchdog" else "timeout",
+                    exc, requeue,
+                )
+            else:
+                requeue(index, 0.0)  # parked cooperatively
+            return reason
+        except MemoryError as exc:
+            self._casualty(index, attempt, "memory", exc, requeue)
+        except Exception as exc:
+            if self._record_failure(index, attempt, "exception", exc):
+                requeue(index,
+                        time.monotonic() + self.budget.backoff_for(attempt))
+        else:
+            self._record_success(*result)
+        return None
 
     # ------------------------------------------------------------------
     # Pool path
@@ -838,8 +862,7 @@ class Supervisor:
         try:
             while pending:
                 if self._deadline_expired():
-                    self.out.cancelled = self.out.cancelled or "deadline"
-                    self._fail_remaining(pending, "deadline")
+                    self._stop(pending, "deadline")
                     return []
                 status, pending = self._pool_epoch(mp_context, token, pending)
                 if status == "done":
@@ -860,6 +883,7 @@ class Supervisor:
         budget = self.budget
         now = time.monotonic()
         queue: dict[int, float] = {i: now for i in pending}  # not-before
+        requeue = queue.__setitem__
         inflight: dict[int, tuple] = {}  # index -> (result, started, attempt)
         pool = mp_context.Pool(
             processes=self.workers,
@@ -880,16 +904,13 @@ class Supervisor:
                     # token (no pool teardown), keep whatever lands in
                     # the grace window, fail the rest structurally.
                     reason = run_cancel or "deadline"
-                    if self._token() is not None:
-                        self._cancel(reason)
-                        self._grace_drain(inflight, queue)
-                    else:
-                        self._drain(inflight, queue)
-                    self._fail_remaining(
-                        list(queue) + list(inflight),
-                        "deadline" if reason == "deadline" else "cancelled",
+                    self._cancel(reason)
+                    self._drain(
+                        inflight, requeue,
+                        budget.drain_grace_s if self._token() is not None
+                        else 0.0,
                     )
-                    self.out.cancelled = self.out.cancelled or reason
+                    self._stop(list(queue) + list(inflight), reason)
                     return "done", []
                 progressed = False
                 if run_cancel is None:
@@ -908,22 +929,7 @@ class Supervisor:
                     if result.ready():
                         del inflight[index]
                         progressed = True
-                        try:
-                            self._record_success(*result.get())
-                        except ChunkCancelled as exc:
-                            self._pool_cancelled(index, attempt, exc, queue)
-                        except MemoryError as exc:
-                            self._handle_resource_failure(
-                                index, attempt, "memory", exc, queue
-                            )
-                        except Exception as exc:
-                            if self._record_failure(
-                                index, attempt, "exception", exc
-                            ):
-                                queue[index] = (
-                                    time.monotonic()
-                                    + budget.backoff_for(attempt)
-                                )
+                        self._settle(index, attempt, result.get, requeue)
                     elif (
                         budget.chunk_timeout_s is not None
                         and time.monotonic() - started > budget.chunk_timeout_s
@@ -937,13 +943,12 @@ class Supervisor:
                     # recycled so the workers' bloated heaps actually
                     # go back to the OS (a cancelled chunk frees Python
                     # objects, not the process's high-water mark).
-                    self._grace_drain(inflight, queue)
+                    self._drain(inflight, requeue, budget.drain_grace_s)
                     self._reset_token()
                     for index, (result, _s, attempt) in inflight.items():
                         if index not in self.done:
-                            self._handle_resource_failure(
-                                index, attempt, "watchdog", None, queue
-                            )
+                            self._casualty(index, attempt, "watchdog", None,
+                                           requeue)
                     return "restart", sorted(queue)
                 if restart_reason is None and inflight:
                     # Health check: a replaced or exited worker means its
@@ -962,28 +967,28 @@ class Supervisor:
                     # bisect the wedged chunk, and only recycle the
                     # pool if a worker is still unresponsive afterwards.
                     self._cancel("preempt")
-                    self._grace_drain(inflight, queue, charge={timed_out})
+                    self._drain(inflight, requeue, budget.drain_grace_s,
+                                charged=timed_out)
                     self._reset_token()
                     if not inflight:
                         continue
                     for index, (result, _s, attempt) in inflight.items():
                         if index not in self.done:
-                            self._handle_resource_failure(
-                                index, attempt, "timeout", None, queue
-                            )
+                            self._casualty(index, attempt, "timeout", None,
+                                           requeue)
                     return "restart", sorted(queue)
                 if restart_reason is not None:
                     # Ungoverned ladder: the pool cannot cancel a
                     # running task, so the whole pool is recycled after
                     # draining finished results.
-                    self._drain(inflight, queue)
+                    self._drain(inflight, requeue, 0.0)
                     for index, (result, started, attempt) in inflight.items():
                         if index in self.done:
                             continue
                         if self._record_failure(
                             index, attempt, restart_reason, None
                         ):
-                            queue[index] = 0.0
+                            requeue(index, 0.0)
                     return "restart", sorted(queue)
                 if not progressed:
                     time.sleep(budget.poll_interval_s)
@@ -992,32 +997,18 @@ class Supervisor:
             pool.terminate()
             pool.join()
 
-    def _pool_cancelled(self, index, attempt, exc, queue: dict) -> None:
-        """Route one ChunkCancelled pool result by its cancel reason."""
-        reason = getattr(exc, "reason", "interrupt")
-        if reason == "watchdog":
-            self._handle_resource_failure(index, attempt, "watchdog", exc,
-                                          queue)
-        elif reason == "preempt":
-            queue[index] = time.monotonic()  # parked cooperatively
-        else:  # deadline / interrupt: run-level branch fails the rest
-            self.attempts[index] = max(self.attempts[index], attempt)
-            self._fail_remaining(
-                [index], "deadline" if reason == "deadline" else "cancelled"
-            )
-            self.out.cancelled = self.out.cancelled or reason
+    def _drain(self, inflight: dict, requeue, grace: float,
+               charged: int | None = None) -> None:
+        """Settle in-flight results that finish within ``grace`` seconds.
 
-    def _grace_drain(self, inflight: dict, queue: dict,
-                     charge=frozenset()) -> None:
-        """Wait up to ``drain_grace_s`` for token-cancelled chunks.
-
-        Completed results are recorded — healthy in-flight work is
-        never discarded by a preemption.  Chunks that park with
-        :class:`ChunkCancelled` are requeued uncharged unless listed in
-        ``charge`` (the wedged chunk that caused the preemption), which
-        are bisected or charged a timeout attempt.
+        With zero grace this consumes the already-finished results
+        before a pool is abandoned; with ``drain_grace_s`` it waits for
+        token-cancelled chunks to park, so healthy in-flight work is
+        never discarded by a preemption.  ``charged`` is the wedged
+        chunk that caused a preemption: its park is a timeout casualty,
+        every other park is requeued uncharged.
         """
-        deadline = time.monotonic() + self.budget.drain_grace_s
+        deadline = time.monotonic() + grace
         while inflight:
             progressed = False
             for index, (result, _s, attempt) in list(inflight.items()):
@@ -1025,41 +1016,12 @@ class Supervisor:
                     continue
                 del inflight[index]
                 progressed = True
-                try:
-                    self._record_success(*result.get())
-                except ChunkCancelled as exc:
-                    reason = getattr(exc, "reason", "interrupt")
-                    if reason == "watchdog" or index in charge:
-                        self._handle_resource_failure(
-                            index, attempt,
-                            "watchdog" if reason == "watchdog" else "timeout",
-                            exc, queue,
-                        )
-                    else:
-                        queue[index] = 0.0  # parked cooperatively
-                except MemoryError as exc:
-                    self._handle_resource_failure(
-                        index, attempt, "memory", exc, queue
-                    )
-                except Exception as exc:
-                    if self._record_failure(index, attempt, "exception", exc):
-                        queue[index] = 0.0
+                self._settle(index, attempt, result.get, requeue,
+                             charge=index == charged)
             if not inflight or time.monotonic() >= deadline:
                 return
             if not progressed:
                 time.sleep(self.budget.poll_interval_s)
-
-    def _drain(self, inflight: dict, queue: dict) -> None:
-        """Consume already-finished results before abandoning a pool."""
-        for index, (result, started, attempt) in list(inflight.items()):
-            if not result.ready():
-                continue
-            del inflight[index]
-            try:
-                self._record_success(*result.get())
-            except Exception as exc:
-                if self._record_failure(index, attempt, "exception", exc):
-                    queue[index] = 0.0
 
     # ------------------------------------------------------------------
     # In-process serial path (non-POSIX hosts, workers=1, degraded mode)
@@ -1068,59 +1030,44 @@ class Supervisor:
         from repro.runtime.engine import run_chunk
 
         self._watch_pids = [os.getpid()]
-        queue = list(pending)  # mutable: bisection pushes halves front
+        # (index, not_before) pairs.  Requeued chunks go to the front,
+        # so a retry runs in place and bisected halves run next.
+        queue = [(index, 0.0) for index in pending]
         while queue:
-            index = queue.pop(0)
+            index, not_before = queue.pop(0)
             if index in self.done or index not in self.bounds:
                 continue
-            while True:
-                if self._deadline_expired():
-                    self.out.cancelled = self.out.cancelled or "deadline"
-                    self._fail_remaining([index, *queue], "deadline")
-                    return
-                attempt = self.attempts[index] + 1
+            pause = not_before - time.monotonic()
+            if self.deadline_at is not None:
+                pause = min(pause, self.deadline_at - time.monotonic())
+            if pause > 0:
+                time.sleep(pause)
+            if self._deadline_expired():
+                self._stop([index, *(i for i, _ in queue)], "deadline")
+                return
+            attempt = self.attempts[index] + 1
+
+            def outcome():
                 chunk_ctx = ExecutionContext(
-                    self.plan.root.num_tables,
-                    predicates=self.predicates,
-                    faults=self.faults,
-                    cache=self.cache,
+                    self.plan.root.num_tables, predicates=self.predicates,
+                    faults=self.faults, cache=self.cache,
                     resources=self.resources,
                 )
-                try:
-                    accumulators, seconds, stats = run_chunk(
-                        self.plan, self.graph, chunk_ctx, index, attempt,
-                        *self.bounds[index], self.executor, allow_exit=False,
-                    )
-                except ChunkCancelled as exc:
-                    reason = getattr(exc, "reason", "interrupt")
-                    if reason in ("watchdog", "preempt"):
-                        # Chunk-level casualty: clear the flag (there is
-                        # no pool to recycle in-process) and bisect or
-                        # retry; a preempt parks uncharged.
-                        self._reset_token()
-                        if reason == "preempt" or self._serial_resource_failure(
-                            index, attempt, reason, exc, queue
-                        ):
-                            continue
-                        break
-                    self.out.cancelled = self.out.cancelled or reason
-                    self.attempts[index] = max(self.attempts[index], attempt)
-                    self._fail_remaining(
-                        [index, *queue],
-                        "deadline" if reason == "deadline" else "cancelled",
-                    )
-                    return
-                except MemoryError as exc:
-                    if self._serial_resource_failure(index, attempt, "memory",
-                                                     exc, queue):
-                        continue
-                    break
-                except Exception as exc:
-                    if not self._record_failure(index, attempt, "exception",
-                                                exc):
-                        break
-                    self._backoff_sleep(attempt)
-                    continue
-                self._record_success(index, attempt, accumulators, seconds,
-                                     stats)
-                break
+                return (index, attempt, *run_chunk(
+                    self.plan, self.graph, chunk_ctx, index, attempt,
+                    *self.bounds[index], self.executor, allow_exit=False,
+                ))
+
+            requeued: list[tuple[int, float]] = []
+            reason = self._settle(
+                index, attempt, outcome,
+                lambda i, t: requeued.append((i, t)),
+            )
+            queue[:0] = requeued
+            if reason in ("watchdog", "preempt"):
+                # Chunk-level casualty: clear the flag (there is no pool
+                # to recycle in-process) before the next attempt runs.
+                self._reset_token()
+            elif reason in ("deadline", "interrupt"):
+                self._stop([i for i, _ in queue], reason)
+                return

@@ -196,9 +196,11 @@ class TestHashTables:
         def run(naive):
             got = defaultdict(int)
             ctx = ExecutionContext(
-                root.num_tables, naive_tables=naive,
+                root.num_tables,
                 emit=lambda i, v, c: got.__setitem__((i, v), got[(i, v)] + c),
             )
+            if naive:
+                ctx.tables = [NaiveTable() for _ in ctx.tables]
             fn(small_random_graph, ctx)
             return dict(got)
 

@@ -368,12 +368,14 @@ class TestGovernedExecution:
         assert result.metrics.pool_restarts == 0
         assert active_tokens() == []
 
-    def test_min_width_chunk_fails_whole_with_memory_reason(self, case):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_min_width_chunk_fails_whole_with_memory_reason(self, case,
+                                                             workers):
         graph, plan, _ = case
         faults = FaultPlan((Fault("oom", 1, attempts=None),))
         ctx = ExecutionContext(plan.root.num_tables, faults=faults)
         result = execute_plan(
-            plan, graph, ctx=ctx,
+            plan, graph, ctx=ctx, options=EngineOptions(workers=workers),
             policy=governed_policy(
                 resources=ResourceBudget(min_chunk_width=16),
                 max_chunk_retries=1,

@@ -192,12 +192,13 @@ class TestSupervisedExecution:
         assert result.metrics.retries == 2
         assert result.ok
 
-    def test_retry_exhaustion_surfaces_chunk_failure(self, case):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_retry_exhaustion_surfaces_chunk_failure(self, case, workers):
         graph, plan, _ = case
         faults = FaultPlan((Fault("raise", 1, attempts=None),))
         ctx = ExecutionContext(plan.root.num_tables, faults=faults)
         result = execute_plan(
-            plan, graph, ctx=ctx,
+            plan, graph, ctx=ctx, options=EngineOptions(workers=workers),
             policy=RunBudget(max_chunk_retries=2, backoff_s=0.001),
         )
         assert not result.ok
@@ -205,7 +206,7 @@ class TestSupervisedExecution:
         assert failure.index == 1
         assert failure.reason == "exception"
         assert failure.attempts == 3  # 1 try + 2 retries
-        assert failure.bounds in chunk_ranges(graph.num_vertices, 4)
+        assert failure.bounds in chunk_ranges(graph.num_vertices, workers * 4)
         assert "InjectedFault" in failure.error
         assert failure.exc_chain
         assert result.metrics.retries == 2

@@ -165,6 +165,31 @@ def test_chunk_timeout_recovers(env):
     assert result.metrics.pool_restarts >= 1
 
 
+def test_oom_collected_by_the_restart_drain_is_bisected(env):
+    """An oom chunk is bisected whichever loop collects its result.
+
+    Chunk 0 stalls past the chunk timeout, so the ready loop breaks for
+    a pool restart before it reaches chunk 1's finished oom; the
+    restart drain collects that result instead and must route it down
+    the same ladder as the ready loop: bisection, not a whole-chunk
+    retry.
+    """
+    graph, profile = env
+    pattern = PATTERNS["house"]
+    plan = compile_pattern(pattern, profile)
+    expected = reference.count_embeddings(graph, pattern)
+    faults = FaultPlan((Fault("delay", 0, delay_s=2.0), Fault("oom", 1)))
+    ctx = ExecutionContext(plan.root.num_tables, faults=faults)
+    result = execute_plan(
+        plan, graph, ctx=ctx,
+        options=EngineOptions(workers=2, chunks_per_worker=1),
+        policy=RunBudget(chunk_timeout_s=0.3, poll_interval_s=1.0),
+    )
+    assert result.ok, [f.describe() for f in result.failures]
+    assert result.embedding_count == expected
+    assert result.metrics.bisections == 1
+
+
 def test_killed_then_resumed_checkpointed_run_is_exact(env, tmp_path):
     """A run that dies partway leaves a usable checkpoint behind."""
     graph, profile = env
