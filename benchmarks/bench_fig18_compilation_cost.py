@@ -46,7 +46,7 @@ def run_experiment():
                       PAPER.get((k, name), "-"))
     table.add_note(
         "plan caching means repeated workloads pay compilation once; "
-        "quotient sub-plans are shared across patterns"
+        "isomorphic quotient sub-plans are compiled once per pattern"
     )
     return table, ratios
 

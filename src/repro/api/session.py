@@ -38,7 +38,7 @@ from repro.observe.calibration import calibrating, record_plan_execution
 from repro.observe.ledger import graph_fingerprint, new_run_id, note_phase
 from repro.observe.trace import span
 from repro.patterns.conversion import edge_induced_requirements
-from repro.patterns.isomorphism import automorphisms, canonical_code
+from repro.patterns.isomorphism import automorphisms
 from repro.patterns.pattern import Pattern
 from repro.runtime.batchrun import execute_batch, trivial_count
 from repro.runtime.context import ExecutionContext
@@ -172,12 +172,10 @@ class DecoMine:
             # emit/constrained plans compile unoriented and the engine
             # strips the option at execution time (see _execute).
             orientation = options.orientation
-            memkey = (canonical_code(pattern), mode, induced, orientation)
-        else:
-            memkey = (pattern, mode, induced, constraints)
+        fingerprint = graph_fingerprint(self.graph)
         key = plan_key(
             pattern,
-            graph_fingerprint=graph_fingerprint(self.graph),
+            graph_fingerprint=fingerprint,
             model_name=getattr(self.model, "name", str(self.model)),
             mode=mode,
             induced=induced,
@@ -185,7 +183,7 @@ class DecoMine:
             options=self.options,
             orientation=orientation,
         )
-        plan = self._plan_cache.get(memkey)
+        plan = self._plan_cache.get(key)
         hit = plan is not None
         if plan is None:
             if self.plan_cache is not None:
@@ -193,7 +191,7 @@ class DecoMine:
                     pattern,
                     lambda: self._profile_for(orientation),
                     self.model,
-                    graph_fingerprint=graph_fingerprint(self.graph),
+                    graph_fingerprint=fingerprint,
                     mode=mode,
                     induced=induced,
                     constraints=constraints,
@@ -211,7 +209,7 @@ class DecoMine:
                     options=self.options,
                     orientation=orientation,
                 )
-            self._plan_cache[memkey] = plan
+            self._plan_cache[key] = plan
         if events is not None:
             events.append((key, hit))
         return plan, key, hit

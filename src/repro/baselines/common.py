@@ -9,10 +9,11 @@ extraction; subclasses supply the plan-selection policy.
 
 from __future__ import annotations
 
-from repro.compiler.build import build_ast
-from repro.compiler.codegen import compile_root
-from repro.compiler.passes import PassOptions, optimize
-from repro.compiler.pipeline import CompiledPlan
+import time
+from dataclasses import replace
+
+from repro.compiler.passes import PassOptions
+from repro.compiler.pipeline import CompiledPlan, compile_spec
 from repro.compiler.specs import DirectSpec
 from repro.costmodel import CostProfile, profile_graph
 from repro.graph.csr import CSRGraph
@@ -54,16 +55,10 @@ class DirectPlanSystem:
                induced, mode)
         plan = self._plan_cache.get(key)
         if plan is None:
-            import time
-
             started = time.perf_counter()
             spec = self.select_spec(pattern, induced, mode)
-            root, info = build_ast(spec, mode)
-            optimize(root, self.passes)
-            function, source = compile_root(root)
-            plan = CompiledPlan(
-                pattern=pattern, spec=spec, mode=mode, root=root, info=info,
-                source=source, function=function, cost=float("nan"),
+            plan = replace(
+                compile_spec(spec, mode, self.passes),
                 compile_seconds=time.perf_counter() - started,
                 model_name=self.name,
             )

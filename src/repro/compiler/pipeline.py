@@ -10,7 +10,6 @@ manually).
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -23,14 +22,10 @@ from repro.costmodel import CostModel, CostProfile, get_model
 from repro.exceptions import CompilationError
 from repro.observe.ledger import note_phase
 from repro.observe.trace import span
+from repro.patterns.isomorphism import automorphism_count, canonical_code
 from repro.patterns.pattern import Pattern
 
 __all__ = ["CompiledPlan", "compile_pattern", "compile_spec"]
-
-# Per-profile cache of count-mode unconstrained plans.  Counting plans are
-# isomorphism-invariant, and the recursive compilation of global-shrinkage
-# corrections re-encounters the same quotient classes constantly.
-_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -86,6 +81,7 @@ def compile_pattern(
     constraints: tuple[Constraint, ...] = (),
     options: SearchOptions = SearchOptions(),
     orientation: str = "none",
+    _quotients: dict | None = None,
 ) -> CompiledPlan:
     """Search the algorithm space and compile the best candidate.
 
@@ -94,6 +90,8 @@ def compile_pattern(
     relabeled graph (the engine wraps the input automatically).  Only
     count-mode unconstrained plans may be oriented — relabeling changes
     vertex ids, which emit-mode UDFs and constraint predicates observe.
+    ``_quotients`` is private to the recursion: the top-level call's
+    canonical code → plan map of the shrinkage quotients compiled so far.
     """
     if isinstance(model, str):
         model = get_model(model)
@@ -107,17 +105,6 @@ def compile_pattern(
         options = replace(
             options, passes=replace(options.passes, orient=orientation)
         )
-    cache_key = None
-    if mode == "count" and not constraints:
-        from repro.patterns.isomorphism import canonical_code
-
-        cache = _PLAN_CACHE.setdefault(profile, {})
-        cache_key = (
-            canonical_code(pattern), model.name, induced, options, orientation,
-        )
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached
     started = time.perf_counter()
     with span("compile", pattern=pattern.name or repr(pattern), mode=mode,
               orientation=orientation):
@@ -131,22 +118,28 @@ def compile_pattern(
         with span("codegen"):
             function, source = compile_root(best.root)
         aux_plans: tuple = ()
-        spec = best.spec
-        if getattr(spec, "include_shrinkages", True) is False:
-            from repro.patterns.isomorphism import automorphism_count
-
-            aux = []
-            for shrinkage in spec.decomposition.shrinkages:
-                quotient_plan = compile_pattern(
-                    shrinkage.pattern, profile, model, mode="count",
-                    options=options, orientation=orientation,
-                )
-                multiplier = (
+        if getattr(best.spec, "include_shrinkages", True) is False:
+            # A count depends only on the isomorphism class, so each
+            # class of quotients compiles once per top-level call and
+            # becomes one aux plan: automorphism_count(q) // divisor is
+            # the same for every member, so the multipliers add.
+            quotients = {} if _quotients is None else _quotients
+            multipliers: dict = {}
+            for shrinkage in best.spec.decomposition.shrinkages:
+                code = canonical_code(shrinkage.pattern)
+                if code not in quotients:
+                    quotients[code] = compile_pattern(
+                        shrinkage.pattern, profile, model, mode="count",
+                        options=options, orientation=orientation,
+                        _quotients=quotients,
+                    )
+                multipliers[code] = multipliers.get(code, 0) + (
                     automorphism_count(shrinkage.pattern)
-                    // quotient_plan.info.divisor
+                    // quotients[code].info.divisor
                 )
-                aux.append((quotient_plan, multiplier))
-            aux_plans = tuple(aux)
+            aux_plans = tuple(
+                (quotients[code], m) for code, m in multipliers.items()
+            )
     elapsed = time.perf_counter() - started
     note_phase("compile", elapsed)
     _publish_orient_counters(orientation, best.report)
@@ -159,7 +152,7 @@ def compile_pattern(
     effective_orientation = orientation
     if orientation != "none" and not (best.report and best.report.oriented):
         effective_orientation = "none"
-    plan = CompiledPlan(
+    return CompiledPlan(
         pattern=pattern,
         spec=best.spec,
         mode=mode,
@@ -173,9 +166,6 @@ def compile_pattern(
         aux_plans=aux_plans,
         orientation=effective_orientation,
     )
-    if cache_key is not None:
-        _PLAN_CACHE[profile][cache_key] = plan
-    return plan
 
 
 def _publish_orient_counters(orientation: str, report) -> None:

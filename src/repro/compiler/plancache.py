@@ -1,11 +1,10 @@
 """Persistent, versioned on-disk cache of compiled plans.
 
-The in-memory plan caches (the session's dict, the pipeline's
-per-profile ``_PLAN_CACHE``) die with the process; a long-lived service
-wants repeat queries to skip profile+search+codegen across restarts and
-across processes.  This module provides that: a content-addressed
-directory of frozen plan *specs* keyed by everything that determines the
-winning plan —
+The session's in-memory plan dict dies with the process; a long-lived
+service wants repeat queries to skip profile+search+codegen across
+restarts and across processes.  This module provides that: a
+content-addressed directory of frozen plan *specs* keyed by everything
+that determines the winning plan —
 
 * the pattern's canonical code (isomorphism-invariant, so ``house`` and
   any relabeling of it share an entry) — or, for constrained plans, the
@@ -42,12 +41,10 @@ import hashlib
 import os
 import pickle
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from repro.compiler.build import build_ast
-from repro.compiler.codegen import compile_root
-from repro.compiler.passes import optimize
-from repro.compiler.pipeline import CompiledPlan, compile_pattern
+from repro.compiler.pipeline import CompiledPlan, compile_pattern, compile_spec
 from repro.compiler.search import SearchOptions
 from repro.costmodel import CostProfile
 from repro.observe.ledger import note_phase
@@ -143,27 +140,15 @@ def _freeze_plan(plan: CompiledPlan) -> dict:
 
 def _rebuild_plan(frozen: dict, passes) -> CompiledPlan:
     """Deterministically re-lower a frozen spec to an executable plan."""
-    started = time.perf_counter()
-    root, info = build_ast(frozen["spec"], frozen["mode"])
-    optimize(root, passes)
-    function, source = compile_root(root)
-    aux_plans = tuple(
-        (_rebuild_plan(aux_frozen, passes), multiplier)
-        for aux_frozen, multiplier in frozen["aux"]
-    )
-    return CompiledPlan(
-        pattern=frozen["spec"].pattern,
-        spec=frozen["spec"],
-        mode=frozen["mode"],
-        root=root,
-        info=info,
-        source=source,
-        function=function,
+    return replace(
+        compile_spec(frozen["spec"], frozen["mode"], passes),
         cost=frozen["cost"],
-        compile_seconds=time.perf_counter() - started,
         model_name=frozen["model_name"],
-        aux_plans=aux_plans,
         orientation=frozen["orientation"],
+        aux_plans=tuple(
+            (_rebuild_plan(aux_frozen, passes), multiplier)
+            for aux_frozen, multiplier in frozen["aux"]
+        ),
     )
 
 
@@ -381,8 +366,6 @@ class PlanCache:
         # requests (see pipeline.compile_pattern).
         passes = options.passes
         if orientation != "none":
-            from dataclasses import replace
-
             passes = replace(passes, orient=orientation)
         self.store(key, plan, graph_fingerprint=graph_fingerprint,
                    passes=passes)

@@ -34,8 +34,8 @@ class CSRGraph:
 
     __slots__ = (
         "indptr", "indices", "labels", "name", "_label_index",
-        "_neighbor_views", "_degrees", "_degree_prefix", "_oriented_cache",
-        "shared_descriptor",
+        "_neighbor_views", "_degrees", "_fingerprint", "_degree_prefix",
+        "_oriented_cache", "shared_descriptor",
     )
 
     def __init__(
@@ -54,6 +54,9 @@ class CSRGraph:
         self._label_index: dict[int, np.ndarray] | None = None
         self._neighbor_views: list | None = None
         self._degrees: np.ndarray | None = None
+        #: Content hash, filled in by
+        #: :func:`repro.observe.ledger.graph_fingerprint`.
+        self._fingerprint: str | None = None
         self._degree_prefix: np.ndarray | None = None
         self._oriented_cache: dict | None = None
         #: Set by :mod:`repro.graph.shared` when this CSR is a view over

@@ -7,8 +7,8 @@ describing what ran and what it cost:
 
 * a generated ``run_id`` (time-sortable, unique per process lifetime),
 * the plan fingerprint (the supervisor's checkpoint identity — plan
-  spec, executor, graph shape, chunk count) and a graph fingerprint
-  (CSR-content hash, memoized per graph object),
+  spec, executor, graph fingerprint, chunk count) and the graph
+  fingerprint (CSR-content hash, memoized on the graph),
 * the frozen :class:`~repro.runtime.engine.EngineOptions` and
   supervision policy the run executed under,
 * the full :class:`~repro.runtime.engine.ExecutionMetrics` view
@@ -64,7 +64,6 @@ DEFAULT_LEDGER_PATH = ".repro/ledger.jsonl"
 _ACTIVE: "Ledger | None" = None
 _PENDING_PHASES: dict[str, float] = {}
 _RUN_SEQ = itertools.count(1)
-_GRAPH_FPRINTS: dict[int, str] = {}
 
 
 def default_ledger_path() -> Path:
@@ -115,17 +114,16 @@ def run_tags(**tags):
 
 
 def graph_fingerprint(graph) -> str:
-    """Content hash of a CSR graph, memoized per graph object.
+    """Content hash of a CSR graph, memoized on the graph itself.
 
     Covers the adjacency structure (indptr/indices bytes) and labels,
     so two runs share a fingerprint iff they ran on identical graphs —
-    the key the ledger query API filters on.  Memoization makes the
-    hash a one-time cost per loaded graph.
+    the key the ledger query API filters on, the plan cache keys on
+    and the supervisor's checkpoint fingerprint covers.  The memo lives
+    in the graph's ``_fingerprint`` slot, so it dies with the graph.
     """
-    key = id(graph)
-    cached = _GRAPH_FPRINTS.get(key)
-    if cached is not None:
-        return cached
+    if graph._fingerprint is not None:
+        return graph._fingerprint
     digest = hashlib.sha256()
     digest.update(str(graph.num_vertices).encode())
     digest.update(b"\x00")
@@ -133,11 +131,10 @@ def graph_fingerprint(graph) -> str:
     digest.update(b"\x00")
     digest.update(memoryview(graph.indptr).cast("B"))
     digest.update(memoryview(graph.indices).cast("B"))
-    if getattr(graph, "labels", None) is not None:
+    if graph.labels is not None:
         digest.update(memoryview(graph.labels).cast("B"))
-    fingerprint = digest.hexdigest()[:16]
-    _GRAPH_FPRINTS[key] = fingerprint
-    return fingerprint
+    graph._fingerprint = digest.hexdigest()[:16]
+    return graph._fingerprint
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ outcome (the pool's ready loop, a drain, or the in-process serial path),
 
 Checkpointing writes one JSON line per completed chunk (accumulators,
 chunk time, kernel stats, attempts) keyed by a plan fingerprint that
-covers the plan source, executor, graph shape, and chunk count — aux
+covers the plan spec, executor, graph content, and chunk count — aux
 (global-shrinkage) plans recurse with the same store under their own
 fingerprints, so resume is exact for decomposed counts too.
 """
@@ -68,6 +68,7 @@ from typing import ClassVar
 
 from repro.compiler.build import COUNT_ACC
 from repro.exceptions import ExecutionError
+from repro.observe.ledger import graph_fingerprint
 from repro.observe.trace import graft_worker_spans
 from repro.runtime.context import ExecutionContext
 from repro.runtime.resources import ChunkCancelled, MemoryWatchdog
@@ -208,16 +209,17 @@ def plan_fingerprint(plan, graph, executor: str, num_chunks: int) -> str:
 
     Covers everything that determines a chunk's accumulator values, so a
     checkpoint recorded under this key is only ever replayed into an
-    identical execution.  The plan is identified by its spec and pattern
-    (code generation is a pure function of those, whereas ``plan.source``
-    embeds gensym counter state that varies across compilations); chunk
-    count is included because resume is per-chunk — a run re-chunked
-    differently ignores old records and starts clean.
+    identical execution.  The graph is identified by its content
+    fingerprint, not its size.  The plan is identified by its spec and
+    pattern (code generation is a pure function of those, whereas
+    ``plan.source`` embeds gensym counter state that varies across
+    compilations); chunk count is included because resume is per-chunk
+    — a run re-chunked differently ignores old records and starts clean.
     """
     digest = hashlib.sha256()
     for part in (
         plan.mode, str(plan.info.divisor), executor,
-        str(graph.num_vertices), str(graph.num_edges), str(num_chunks),
+        graph_fingerprint(graph), str(num_chunks),
         repr(plan.pattern), repr(plan.spec),
     ):
         digest.update(part.encode())

@@ -106,10 +106,11 @@ class TestSessionInducedRouting:
                                                  induced=True)
         # Only the direct induced plan (plus possibly the EI plan) was
         # compiled — no host-closure plans.
-        induced_keys = [
-            key for key in session._plan_cache if key[2] is True
+        induced_plans = [
+            plan for plan in session._plan_cache.values()
+            if getattr(plan.spec, "induced", False)
         ]
-        assert len(induced_keys) == 1
+        assert len(induced_plans) == 1
 
     def test_dense_pattern_may_use_conversion(self):
         from repro.api import DecoMine

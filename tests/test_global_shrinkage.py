@@ -22,7 +22,7 @@ from repro.graph.generators import erdos_renyi
 from repro.patterns import catalog
 from repro.patterns.decomposition import all_decompositions
 from repro.patterns.generation import all_connected_patterns
-from repro.patterns.isomorphism import automorphism_count
+from repro.patterns.isomorphism import automorphism_count, canonical_code
 from repro.patterns.matching_order import extension_orders
 from repro.runtime.engine import execute_plan
 
@@ -133,13 +133,24 @@ class TestPipeline:
         got = execute_plan(plan, graph).embedding_count
         assert got == reference.count_embeddings(graph, catalog.cycle(6))
 
-    def test_plan_cache_hits(self, profile):
-        from repro.compiler.pipeline import _PLAN_CACHE
-
-        a = compile_pattern(catalog.house(), profile)
-        b = compile_pattern(catalog.house(), profile)
-        assert a is b
-        # Isomorphic relabeling hits the same cache entry.
-        relabeled = catalog.house().relabeled((4, 3, 2, 1, 0))
-        c = compile_pattern(relabeled, profile)
-        assert c is a
+    def test_quotient_classes_compile_once(self, graph, profile):
+        """Isomorphic shrinkage quotients share one aux plan whose
+        multiplier is the sum of theirs (bowtie: 6 quotients, 2 classes)."""
+        pattern = catalog.bowtie()
+        plan = compile_pattern(pattern, profile)
+        assert plan.spec.include_shrinkages is False
+        codes = [canonical_code(qplan.pattern) for qplan, _ in plan.aux_plans]
+        assert len(codes) == len(set(codes))
+        divisors = {
+            canonical_code(qplan.pattern): qplan.info.divisor
+            for qplan, _ in plan.aux_plans
+        }
+        shrinkages = plan.spec.decomposition.shrinkages
+        assert len(shrinkages) > len(plan.aux_plans)
+        assert sum(m for _, m in plan.aux_plans) == sum(
+            automorphism_count(s.pattern)
+            // divisors[canonical_code(s.pattern)]
+            for s in shrinkages
+        )
+        got = execute_plan(plan, graph).embedding_count
+        assert got == reference.count_embeddings(graph, pattern)

@@ -9,6 +9,7 @@ overlapping decomposed runs on concurrent threads).
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -52,6 +53,18 @@ def test_graph_fingerprint_is_content_based(graph):
     assert graph_fingerprint(graph) == graph_fingerprint(graph)
     other = erdos_renyi(40, 0.2, seed=8)
     assert graph_fingerprint(graph) != graph_fingerprint(other)
+
+
+def test_graph_fingerprint_does_not_outlive_its_graph():
+    """A freed graph's address may be reused by the next one; the
+    fingerprint must still describe the new graph's content."""
+    fingerprints = set()
+    for seed in range(20):
+        g = erdos_renyi(20, 0.3, seed=seed)
+        fingerprints.add(graph_fingerprint(g))
+        del g
+        gc.collect()
+    assert len(fingerprints) == 20
 
 
 def test_no_active_ledger_records_nothing(graph, tmp_path):

@@ -77,6 +77,7 @@ class TestCounting:
         cached = len(session._plan_cache)
         session.get_pattern_count(b)
         assert len(session._plan_cache) == cached
+        assert session.plan_for(a) is session.plan_for(b)
 
     def test_labeled_counts(self, labeled_session):
         pattern = Pattern(3, [(0, 1), (1, 2)], labels=[0, 1, 0])

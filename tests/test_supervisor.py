@@ -160,6 +160,12 @@ class TestCheckpointStore:
         assert base != plan_fingerprint(plan, graph, "codegen", 4)
         other = erdos_renyi(18, 0.3, seed=4)
         assert base != plan_fingerprint(plan, other, "codegen", 8)
+        # Same |V| and |E|, different edges: the graph's content, not
+        # its size, identifies it.
+        same_size = erdos_renyi(16, 0.35, seed=19)
+        assert (same_size.num_vertices, same_size.num_edges) == (
+            graph.num_vertices, graph.num_edges)
+        assert base != plan_fingerprint(plan, same_size, "codegen", 8)
 
 
 class TestSupervisedExecution:
@@ -301,6 +307,27 @@ class TestCheckpointResume:
         )
         assert result.embedding_count == expected
         assert result.metrics.resumed_chunks == 0
+
+    def test_checkpoint_never_resumes_into_another_graph(self, tmp_path):
+        """A checkpoint written on one graph must not answer for a
+        different graph that merely has the same |V| and |E|."""
+        first_graph = erdos_renyi(30, 0.3, seed=1)
+        other_graph = erdos_renyi(30, 0.3, seed=105)
+        assert (other_graph.num_vertices, other_graph.num_edges) == (
+            first_graph.num_vertices, first_graph.num_edges)
+        triangle = catalog.triangle()
+        expected = reference.count_embeddings(other_graph, triangle)
+        assert expected != reference.count_embeddings(first_graph, triangle)
+        plan = compile_pattern(
+            triangle, profile_graph(first_graph, max_pattern_size=3,
+                                    trials=60))
+        policy = RunPolicy(budget=RunBudget(),
+                           checkpoint=str(tmp_path / "tri.jsonl"))
+        execute_plan(plan, first_graph, policy=policy)
+        result = execute_plan(plan, other_graph, policy=policy)
+        assert result.ok
+        assert result.metrics.resumed_chunks == 0
+        assert result.embedding_count == expected
 
     def test_aux_plans_share_the_checkpoint(self, tmp_path):
         """Global-shrinkage corrections resume exactly too."""
