@@ -25,6 +25,7 @@ from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.api.messages import MiningRequest, MiningResponse
+from repro.compiler import cgen
 from repro.compiler.batch import compile_batch
 from repro.compiler.pipeline import CompiledPlan, compile_pattern
 from repro.compiler.plancache import PlanCache, plan_key
@@ -242,8 +243,24 @@ class DecoMine:
         profile.max_out_degree = float(oriented.max_out_degree)
 
     def explain(self, pattern: Pattern, induced: bool = False) -> str:
-        """Human-readable description of the plan the compiler selected."""
-        return self.plan_for(pattern, induced=induced).describe()
+        """Human-readable description of the plan the compiler selected,
+        with the target each of its plans runs on."""
+        plan = self.plan_for(pattern, induced=induced)
+        lines = [plan.describe()]
+        for label, target in self._targets(plan):
+            reason = f" ({target.reason})" if target.reason else ""
+            lines.append(f"{label}target: {target.target}{reason}")
+        return "\n".join(lines)
+
+    def _targets(self, plan: CompiledPlan) -> list[tuple[str, "cgen.Target"]]:
+        """``(label, target)`` for the plan and each of its aux plans, as
+        this session's executor would run them (C entry points are built
+        here when they are due)."""
+        executor = self.engine_options.executor
+        return [("", cgen.target_for(plan, executor))] + [
+            (f"aux plan {k} ", cgen.target_for(aux, executor))
+            for k, (aux, _) in enumerate(plan.aux_plans, start=1)
+        ]
 
     def explain_json(self, pattern: Pattern, induced: bool = False) -> dict:
         """Machine-readable plan summary (``repro explain --format json``).
@@ -255,6 +272,7 @@ class DecoMine:
         plan, key, hit = self._plan_with_provenance(
             pattern, "count", induced, (), self.engine_options,
         )
+        (_, target), *aux_targets = self._targets(plan)
         return {
             "pattern": pattern.name or repr(pattern),
             "mode": plan.mode,
@@ -262,6 +280,12 @@ class DecoMine:
             "cost": float(plan.cost),
             "orientation": plan.orientation,
             "aux_plans": len(plan.aux_plans),
+            "target": target.target,
+            "fallback": target.reason,
+            "aux_targets": [
+                {"target": aux.target, "fallback": aux.reason}
+                for _, aux in aux_targets
+            ],
             "compile_seconds": float(plan.compile_seconds),
             "plan": plan.describe(),
             "plan_cache": {

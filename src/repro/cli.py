@@ -518,19 +518,33 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "explain":
         pattern = parse_pattern(args.pattern)
+        executor = session.engine_options.executor
         if args.format == "json":
             payload = session.explain_json(pattern)
             if args.source:
-                payload["source"] = session.plan_for(pattern).source
+                plan = session.plan_for(pattern)
+                payload["source"] = plan.source
+                payload["c_source"] = _c_source(plan, executor)
             print(json.dumps(payload, indent=2))
             return 0
-        plan = session.plan_for(pattern)
-        print(plan.describe())
+        print(session.explain(pattern))
         if args.source:
+            plan = session.plan_for(pattern)
             print(plan.source)
+            c_source = _c_source(plan, executor)
+            if c_source is not None:
+                print(c_source)
         return 0
 
     raise SystemExit(f"unknown command {args.command}")  # pragma: no cover
+
+
+def _c_source(plan, executor: str) -> str | None:
+    """The plan's generated C, when it runs on the C target."""
+    from repro.compiler import cgen
+
+    target = cgen.target_for(plan, executor)
+    return target.source if target.target == "c" else None
 
 
 def _run_serve(args, graph) -> int:

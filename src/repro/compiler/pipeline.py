@@ -10,7 +10,7 @@ manually).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.compiler.build import PlanInfo, build_ast
@@ -54,6 +54,9 @@ class CompiledPlan:
     #: matching :class:`~repro.graph.transform.OrientedGraph`; the
     #: engine wraps the input graph accordingly.
     orientation: str = "none"
+    #: The C target :func:`repro.compiler.cgen.resolve` lowered and
+    #: loaded for this plan, kept here so fork workers inherit it.
+    native: object = field(default=None, compare=False, repr=False)
 
     @property
     def uses_decomposition(self) -> bool:

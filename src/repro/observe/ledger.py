@@ -215,6 +215,10 @@ class RunRecord:
     #: Caller-supplied tags (e.g. the daemon's client id) from the
     #: enclosing :func:`run_tags` scope; empty for untagged runs.
     tags: dict = field(default_factory=dict)
+    #: Where the plan ran (``"c"`` or ``"python"``) and why not C; None
+    #: on rows written before the native target existed.
+    target: str | None = None
+    fallback: str | None = None
 
     @property
     def embedding_count(self) -> int | None:
@@ -251,6 +255,8 @@ class RunRecord:
             "cancelled": self.cancelled,
             "salvage": dict(self.salvage) if self.salvage else None,
             "tags": dict(self.tags),
+            "target": self.target,
+            "fallback": self.fallback,
         }
 
     @classmethod
@@ -279,6 +285,8 @@ class RunRecord:
             salvage=(dict(record["salvage"])
                      if record.get("salvage") else None),
             tags=dict(record.get("tags") or {}),
+            target=record.get("target"),
+            fallback=record.get("fallback"),
         )
 
 
@@ -455,6 +463,8 @@ def record_run(
         cancelled=getattr(result, "cancelled", None),
         salvage=getattr(result, "salvage", None),
         tags=current_tags(),
+        target=getattr(result, "target", None),
+        fallback=getattr(result, "fallback", None),
     )
     _ACTIVE.append(record)
     return record

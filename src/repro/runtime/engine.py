@@ -55,6 +55,7 @@ import numpy as np
 from types import MappingProxyType
 from typing import Mapping
 
+from repro.compiler import cgen
 from repro.compiler.build import COUNT_ACC
 from repro.compiler.interpreter import run_interpreter
 from repro.compiler.pipeline import CompiledPlan
@@ -249,6 +250,8 @@ class ExecutionResult:
         bisections: int = 0,
         watchdog_kills: int = 0,
         frontier_downshifts: int = 0,
+        target: str = "python",
+        fallback: str | None = None,
     ) -> None:
         self.accumulators = accumulators
         self.seconds = seconds
@@ -262,6 +265,11 @@ class ExecutionResult:
         #: ``fraction`` (degree-weighted), ``chunks_done``/``chunks_total``
         #: and the ``unfinished`` chunk bounds; None on clean runs.
         self.salvage = salvage
+        #: Where the plans ran: ``"c"`` when this plan and all its aux
+        #: plans ran their C entry points, else ``"python"`` with the
+        #: ``fallback`` reason (see :mod:`repro.compiler.cgen`).
+        self.target = target
+        self.fallback = fallback
         #: Ledger id of this execution's run record, or "" when no
         #: ledger was active (set by ``execute_plan`` after recording).
         self.run_id = ""
@@ -356,6 +364,8 @@ class ExecutionResult:
             f"{m.pool_restarts} pool restarts",
             f"kernels: {m.kernel_calls:,} set-op calls, cache hit rate "
             f"{m.cache_hit_rate:.1%}",
+            f"target: {self.target}"
+            + (f" ({self.fallback})" if self.fallback else ""),
         ]
         lines.extend(salvage_lines)
         if m.bisections:
@@ -582,13 +592,17 @@ def _execute(plan, graph, ctx, options, budget, checkpoint, resources, *,
     # the aux-plan recursion, which passes the *original* graph — reuse
     # one relabeled copy.
     exec_graph = orient(graph, orientation) if orientation != "none" else graph
+    # Resolved (and built) here in the parent, so fork workers inherit
+    # the plan's entry point.
+    target = cgen.target_for(plan, options.executor)
     deadline_at = None
     if budget is not None and budget.deadline_s is not None:
         deadline_at = time.monotonic() + budget.deadline_s
     run_span = span(
         "execute", pattern=plan.pattern.name or repr(plan.pattern),
         mode=plan.mode, workers=options.workers, executor=options.executor,
-        orientation=orientation,
+        orientation=orientation, target=target.target,
+        fallback=target.reason,
     )
     with _governed(ctx, resources) as governor, run_span:
         started = time.perf_counter()
@@ -598,6 +612,7 @@ def _execute(plan, graph, ctx, options, budget, checkpoint, resources, *,
                                       deadline_at, governor)
         else:
             tally = _sweep_inline(plan, exec_graph, ctx, options.executor)
+        tally.target, tally.fallback = target.target, target.reason
         # This execution's own telemetry goes to the registry before the
         # aux-plan corrections: each aux execution recurses through
         # _execute and publishes its own delta.
@@ -718,7 +733,7 @@ def _finish(plan, graph, options, tally, elapsed, budget, checkpoint,
     result = ExecutionResult(
         tally.accumulators, elapsed, plan.info.divisor, tally.chunk_seconds,
         tally.stats, failures=tally.failures, cancelled=tally.cancelled,
-        salvage=tally.salvage,
+        salvage=tally.salvage, target=tally.target, fallback=tally.fallback,
         **{name: getattr(tally, name) for name in tally.COUNTERS},
     )
     record = ledger_mod.record_run(
@@ -768,6 +783,9 @@ def run_chunk(plan, graph, ctx, index, attempt, start, stop, executor, *,
 
 def _run_range(plan, graph, ctx, start, stop, executor) -> dict[str, int]:
     if executor == "codegen":
+        native = cgen.resolve(plan)
+        if native.entry is not None:
+            return cgen.run(plan, native, graph, ctx, start, stop)
         return plan.function(graph, ctx, start, stop)
     if executor == "interpreter":
         return run_interpreter(plan.root, graph, ctx, start, stop)

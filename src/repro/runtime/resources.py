@@ -225,6 +225,13 @@ class CancelToken:
         if self._buf[0] == 0:
             self._buf[0] = code
 
+    def flag(self):
+        """A ``ctypes.c_ubyte`` over the cancel byte, for native code
+        that polls it; holders must drop it before :meth:`close`."""
+        import ctypes
+
+        return ctypes.c_ubyte.from_buffer(self._buf)
+
     def reset(self) -> None:
         """Clear the cancel byte (the downshift level is sticky): used by
         the supervisor after a ``"preempt"`` drain so requeued chunks do

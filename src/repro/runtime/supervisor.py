@@ -354,6 +354,11 @@ class SupervisorOutcome:
     #: ``fraction`` (degree-weighted), ``chunks_done``/``chunks_total``
     #: and the ``unfinished`` chunk bounds; None on clean runs.
     salvage: dict | None = None
+    #: Where the run's plans ran (``"c"`` or ``"python"``, see
+    #: :mod:`repro.compiler.cgen`) and why not C: ``"c"`` only when
+    #: this plan and every aux plan folded in did.
+    target: str = "python"
+    fallback: str | None = None
 
     def add_chunk(self, accumulators: dict[str, int], seconds: float,
                   stats: dict[str, int]) -> None:
@@ -366,8 +371,9 @@ class SupervisorOutcome:
     def fold_aux(self, aux, multiplier: int) -> None:
         """Fold one aux-plan correction run (an ``ExecutionResult``) in:
         its count is subtracted ``multiplier`` times, its telemetry and
-        failures add up, and its cancel reason and salvage fill in where
-        this run has none."""
+        failures add up, its cancel reason and salvage fill in where
+        this run has none, and a Python aux plan makes the run's target
+        Python."""
         self.accumulators[COUNT_ACC] = (
             self.accumulators.get(COUNT_ACC, 0) - multiplier * aux.raw_count
         )
@@ -379,6 +385,9 @@ class SupervisorOutcome:
         self.cancelled = self.cancelled or aux.cancelled
         if self.salvage is None:
             self.salvage = aux.salvage
+        if self.target == "c" and aux.target != "c":
+            self.target = aux.target
+            self.fallback = f"aux plan: {aux.fallback}"
 
 
 class Supervisor:

@@ -1,5 +1,5 @@
-"""Four-way differential suite: codegen vs interpreter vs vectorized vs
-brute force.
+"""Five-way differential suite: codegen (on its Python and its C target)
+vs interpreter vs vectorized vs brute force.
 
 Every catalog pattern of size <= 5 is compiled through the full pipeline
 (cost-model search, optimization passes, fused bounded kernels, memo
@@ -9,14 +9,20 @@ enumerator.  Any divergence between the kernels the executors share, the
 fuse pass, or the cache invalidates all the equalities at once, which is
 what makes this suite the lock on the set-operation rewrite — and, since
 the vectorized backend re-implements every set op as a batched NumPy
-kernel, the lock on :mod:`repro.runtime.vectorops` too.
+kernel, the lock on :mod:`repro.runtime.vectorops` too.  The codegen
+executor runs twice: on Python, and with the cost gate lowered to 0 on
+its C target (:mod:`repro.compiler.cgen`), which every plan here must
+actually reach.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.baselines import reference
+from repro.compiler import cgen
 from repro.compiler.pipeline import compile_pattern
 from repro.costmodel import profile_graph
 from repro.graph.generators import erdos_renyi, power_law, small_world
@@ -24,6 +30,30 @@ from repro.graph.transform import ORIENTATIONS
 from repro.patterns import catalog
 from repro.runtime.context import ExecutionContext
 from repro.runtime.engine import EXECUTORS, EngineOptions, execute_plan
+
+#: Executor columns: the three executors, codegen pinned to its Python
+#: target, plus ``"c"`` — codegen with the native cost gate lowered to 0.
+COLUMNS = EXECUTORS + (("c",) if cgen.find_compiler() is not None else ())
+
+
+def run_column(column, plan, graph, **options):
+    """Execute ``plan`` in one column; asserts the codegen target."""
+    executor = "codegen" if column == "c" else column
+    run_options = EngineOptions(executor=executor, **options)
+    if executor != "codegen":
+        return execute_plan(plan, graph, options=run_options)
+    target = "c" if column == "c" else "python"
+    saved = cgen.NATIVE_MIN_COST
+    cgen.NATIVE_MIN_COST = 0 if target == "c" else math.inf
+    try:
+        result = execute_plan(plan, graph, options=run_options)
+    finally:
+        cgen.NATIVE_MIN_COST = saved
+    assert result.target == target, (
+        f"{column} ran on {result.target}: {result.fallback}"
+    )
+    return result
+
 
 # Dense-ish, skewed, and locally clustered — three different degree/
 # triangle regimes so kernel dispatch exercises both gallop and merge
@@ -72,17 +102,12 @@ def graph_case(request):
 def test_engines_agree_with_reference(name, graph_case):
     graph, profile, expected = graph_case
     plan = compile_pattern(PATTERNS[name], profile)
-    results = {
-        executor: execute_plan(
-            plan, graph, options=EngineOptions(executor=executor)
-        )
-        for executor in EXECUTORS
-    }
-    for executor, result in results.items():
+    results = {column: run_column(column, plan, graph) for column in COLUMNS}
+    for column, result in results.items():
         assert result.embedding_count == expected[name], (
-            f"{name} under executor={executor}"
+            f"{name} under executor={column}"
         )
-        assert result.accumulators == results["codegen"].accumulators
+        assert result.accumulators == results[COLUMNS[0]].accumulators
 
 
 def test_cache_disabled_matches_reference(graph_case):
@@ -118,11 +143,10 @@ class TestSharedGraphLifecycle:
         assert shared.active_segments() == []
         return graph, plan, expected["house"], shared
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("executor", COLUMNS)
     def test_unlinked_after_normal_completion(self, case, executor):
         graph, plan, expected, shared = case
-        options = EngineOptions(executor=executor, workers=2)
-        result = execute_plan(plan, graph, options=options)
+        result = run_column(executor, plan, graph, workers=2)
         assert result.embedding_count == expected
         assert shared.active_segments() == []
 
@@ -171,8 +195,8 @@ class TestSharedGraphLifecycle:
 @pytest.mark.parametrize("name", sorted(PATTERNS))
 def test_orientations_agree_with_reference(name, orientation, graph_case):
     """Relabeling is an isomorphism: counts are bit-identical across
-    orientation modes, oriented-adjacency rewrites included, on both
-    executors."""
+    orientation modes, oriented-adjacency rewrites included, on every
+    executor and both codegen targets."""
     graph, profile, expected = graph_case
     plan = compile_pattern(PATTERNS[name], profile, orientation=orientation)
     # Plans whose restrictions don't align with the rank fall back to
@@ -180,11 +204,10 @@ def test_orientations_agree_with_reference(name, orientation, graph_case):
     # (options below) must still be count-preserving.
     assert plan.orientation in ("none", orientation)
     counts = []
-    for executor in EXECUTORS:
-        options = EngineOptions(executor=executor, orientation=orientation)
-        result = execute_plan(plan, graph, options=options)
+    for column in COLUMNS:
+        result = run_column(column, plan, graph, orientation=orientation)
         assert result.embedding_count == expected[name], (
-            f"{name} under orientation={orientation} executor={executor}"
+            f"{name} under orientation={orientation} executor={column}"
         )
         counts.append(result.accumulators)
     assert all(count == counts[0] for count in counts)

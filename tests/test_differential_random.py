@@ -6,8 +6,8 @@ against the shapes nobody picked.  Every case draws a random connected
 pattern (3-6 vertices: random spanning tree plus random extra edges)
 and a random graph (Erdős–Rényi or power-law, 50-300 vertices), compiles
 it through the full pipeline per orientation mode, executes it on all
-three executors, and requires exact agreement with the brute-force
-reference enumerator.
+three executors (codegen on both its Python and its C target), and
+requires exact agreement with the brute-force reference enumerator.
 
 Determinism contract: every case is a pure function of its integer seed.
 A failure's assertion message carries the seed plus the drawn pattern
@@ -16,7 +16,7 @@ and graph, so any red case reproduces with one line::
     pytest tests/test_differential_random.py -k "case 1234" # or:
     python -c "from tests.test_differential_random import run_case; run_case(1234)"
 
-Case volume: ``NUM_CASES`` seeds x len(EXECUTORS) executors x the
+Case volume: ``NUM_CASES`` seeds x len(COLUMNS) executor columns x the
 per-seed orientation draw — 240 (pattern, graph) evaluations per
 executor by default, >200 as the acceptance floor demands.  Set
 ``REPRO_RANDOM_CASES`` to widen the sweep (CI keeps the default).
@@ -35,7 +35,7 @@ from repro.costmodel import profile_graph
 from repro.graph.generators import erdos_renyi, power_law
 from repro.graph.transform import ORIENTATIONS
 from repro.patterns.pattern import Pattern
-from repro.runtime.engine import EXECUTORS, EngineOptions, execute_plan
+from tests.test_differential_engines import COLUMNS, run_column
 
 NUM_CASES = int(os.environ.get("REPRO_RANDOM_CASES", "240"))
 
@@ -153,11 +153,10 @@ def run_case(seed: int) -> None:
         f"case {seed}: pattern={pattern.name} edges={pattern.edges()} "
         f"graph={graph} orientation={orientation}"
     )
-    for executor in EXECUTORS:
-        options = EngineOptions(executor=executor, orientation=orientation)
-        result = execute_plan(plan, graph, options=options)
+    for column in COLUMNS:
+        result = run_column(column, plan, graph, orientation=orientation)
         assert result.embedding_count == expected, (
-            f"{where} executor={executor}: "
+            f"{where} executor={column}: "
             f"got {result.embedding_count}, reference {expected}"
         )
 
