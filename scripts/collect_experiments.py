@@ -77,10 +77,13 @@ EXPERIMENTS = [
      "**Reproduced.** Identical match counts; DecoMine's partial "
      "resolution beats Peregrine's whole-embedding filtering."),
     ("test_fig18_compilation_cost",
-     "**Reproduced (ratio).** Compilation is a minority cost wherever "
-     "execution is non-trivial. The Python search is slower than the "
-     "paper's C++ front-end, so trivial-execution cells (6-MC on the "
-     "tiny cs analogue) show CT > ET; plans are cached per session."),
+     "**Not reproduced at this scale (ratio).** The paper's compile "
+     "time stays far below execution. Here the C target runs every "
+     "k-MC cell in under a second on the small analogues, while the "
+     "Python search remains much slower than the paper's C++ front-end, "
+     "so compilation exceeds execution from 4-MC up and the shape check "
+     "(CT < ET wherever ET >= 2 s) has no cell to check. Plans are "
+     "cached per session, so a repeated workload compiles once."),
     ("test_fig11_cost_models",
      "**Reproduced (ranking).** The approximate-mining model correlates "
      "best with measured runtimes and its selected plans are at least "

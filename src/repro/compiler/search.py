@@ -16,6 +16,7 @@ Two scoping devices keep the search fast, mirroring the paper's structure:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -112,44 +113,115 @@ def enumerate_candidates(
     options: SearchOptions = SearchOptions(),
 ):
     """Yield every evaluated candidate (used directly by Figure 19)."""
+    memo = _SearchMemo(profile, model)
     if options.enable_direct:
         for spec in _direct_specs(pattern, induced, constraints, options,
-                                  profile, model):
-            yield _evaluate(spec, mode, profile, model, options)
+                                  memo):
+            yield _evaluate(spec, mode, memo, options)
     if options.enable_decomposition and not induced and pattern.n >= 3:
         ranked = sorted(
-            _decomp_specs(pattern, profile, model, constraints, options,
-                          mode),
+            _decomp_specs(pattern, memo, constraints, options, mode),
             key=lambda pair: pair[0],
         )
         for _prelim, spec in ranked[: options.full_eval_limit]:
             try:
-                yield _evaluate(spec, mode, profile, model, options)
+                yield _evaluate(spec, mode, memo, options)
             except CompilationError:
                 continue  # constraint placement infeasible for this VC
+
+
+class _SearchMemo(CostModel):
+    """The facts one :func:`enumerate_candidates` call asks for repeatedly.
+
+    Candidates of one search share most of their loops: a 5- or 6-vertex
+    search asks for each distinct loop price about fourteen times.  This
+    wrapper prices each distinct loop once and stands in for the model
+    wherever the search prices: :func:`estimate_cost` walks candidate
+    trees with it, and the spec-level helpers below read it directly.
+    It also keeps the searched patterns' induced prefixes and each
+    quotient's global count estimate.  Every value is exactly what the
+    uncached call returns, so plan choices and their costs do not change.
+
+    The memo is bound to one profile and dies with its call.  It is never
+    hung on a :class:`Pattern` (the global ``lru_cache``s keep patterns
+    alive, so such a cache would leak) nor on a :class:`CostProfile`
+    (``copy.copy`` shares the cache, and ``profile.counts`` may change
+    between searches); nor is it module state, since the daemon compiles
+    on several threads.
+    """
+
+    def __init__(self, profile: CostProfile, model: CostModel) -> None:
+        self.profile = profile
+        self.model = model
+        self._iterations: dict[tuple, float] = {}
+        self._prefixes: dict[tuple, Pattern] = {}
+        self._global_counts: dict[Pattern, float] = {}
+
+    def level_iterations(self, meta: LoopMeta, profile: CostProfile) -> float:
+        return self.model.level_iterations(meta, profile)
+
+    def adjusted_iterations(
+        self,
+        meta: LoopMeta,
+        profile: CostProfile,
+        oriented: bool = False,
+    ) -> float:
+        assert profile is self.profile, "a search memo prices one profile"
+        key = (meta.prefix, meta.constraint_degree, meta.num_trims,
+               meta.label, meta.role, oriented)
+        value = self._iterations.get(key)
+        if value is None:
+            value = self.model.adjusted_iterations(meta, profile, oriented)
+            self._iterations[key] = value
+        return value
+
+    def loop_iterations(self, prefix: Pattern, role: str) -> float:
+        """Adjusted iterations of an untrimmed loop binding the last
+        vertex of ``prefix`` (the spec-level estimates' loops)."""
+        last = prefix.n - 1
+        meta = LoopMeta(prefix=prefix, constraint_degree=prefix.degree(last),
+                        label=prefix.label_of(last), role=role)
+        return self.adjusted_iterations(meta, self.profile)
+
+    def prefix(self, pattern: Pattern, vertices: tuple[int, ...]) -> Pattern:
+        """``pattern.induced_subpattern(vertices)``, built once."""
+        key = (pattern, vertices)
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = pattern.induced_subpattern(vertices)
+            self._prefixes[key] = prefix
+        return prefix
+
+    def global_count(self, quotient: Pattern) -> float:
+        """:func:`_global_count_estimate`, keyed by the quotient's
+        structure (its greedy order depends on the numbering, so
+        isomorphic quotients do not share)."""
+        value = self._global_counts.get(quotient)
+        if value is None:
+            value = _global_count_estimate(quotient, self)
+            self._global_counts[quotient] = value
+        return value
 
 
 def _evaluate(
     spec: PlanSpec,
     mode: str,
-    profile: CostProfile,
-    model: CostModel,
+    memo: _SearchMemo,
     options: SearchOptions,
 ) -> PlanCandidate:
     with span("candidate", kind=spec.kind) as s:
         root, info = build_ast(spec, mode)
         report = optimize(root, options.passes)
-        cost = estimate_cost(root, profile, model)
+        cost = estimate_cost(root, memo.profile, memo)
         if isinstance(spec, DecompSpec) and not spec.include_shrinkages:
             for shrinkage in spec.decomposition.shrinkages:
-                cost += _global_count_estimate(shrinkage.pattern, profile,
-                                               model)
+                cost += memo.global_count(shrinkage.pattern)
         s.set(cost=float(cost))
     return PlanCandidate(spec=spec, root=root, info=info, cost=cost,
                          report=report)
 
 
-def _global_count_estimate(pattern, profile, model) -> float:
+def _global_count_estimate(pattern, memo) -> float:
     """Rough cost of counting a quotient pattern as its own problem.
 
     Priced as a symmetry-broken direct plan under a greedy order; the
@@ -161,9 +233,9 @@ def _global_count_estimate(pattern, profile, model) -> float:
     first = max(range(pattern.n), key=pattern.degree)
     rest = [v for v in range(pattern.n) if v != first]
     order = greedy_extension_order(pattern, [first], rest) if rest else ()
-    n = max(profile.num_vertices, 1)
+    n = max(memo.profile.num_vertices, 1)
     cost = float(n)
-    cost += n * _extension_order_cost(pattern, (first,), order, profile, model)
+    cost += n * _order_cost(memo, pattern, (first,), order, "extension")[0]
     return cost / automorphism_count(pattern)
 
 
@@ -171,7 +243,7 @@ def _global_count_estimate(pattern, profile, model) -> float:
 # Direct plans
 # ----------------------------------------------------------------------
 
-def _direct_specs(pattern, induced, constraints, options, profile, model):
+def _direct_specs(pattern, induced, constraints, options, memo):
     if pattern.n == 1:
         yield DirectSpec(pattern, (0,), constraints=constraints)
         return
@@ -183,7 +255,7 @@ def _direct_specs(pattern, induced, constraints, options, profile, model):
     ):
         restrictions = tuple(symmetry_breaking_restrictions(pattern))
     for order in _direct_order_candidates(
-        pattern, profile, model, options.max_direct_orders
+        pattern, memo, options.max_direct_orders
     ):
         yield DirectSpec(
             pattern,
@@ -194,7 +266,7 @@ def _direct_specs(pattern, induced, constraints, options, profile, model):
         )
 
 
-def _direct_order_candidates(pattern, profile, model, limit):
+def _direct_order_candidates(pattern, memo, limit):
     """Promising connected matching orders, by beam search under the model.
 
     Enumerating all connected permutations is both infeasible for 8-vertex
@@ -207,7 +279,7 @@ def _direct_order_candidates(pattern, profile, model, limit):
     from repro.patterns.matching_order import greedy_extension_order
 
     n = pattern.n
-    n_est = float(max(profile.num_vertices, 1))
+    n_est = float(max(memo.profile.num_vertices, 1))
     width = max(2 * limit, 8)
     # state: (order, entries at the innermost level, total cost)
     states = [((v,), n_est, n_est) for v in range(n)]
@@ -218,15 +290,11 @@ def _direct_order_candidates(pattern, profile, model, limit):
             for v in range(n):
                 if v in matched or not (pattern.neighbors(v) & matched):
                     continue
-                meta = LoopMeta(
-                    prefix=pattern.induced_subpattern(list(order) + [v]),
-                    constraint_degree=sum(
-                        1 for w in order if pattern.has_edge(v, w)
-                    ),
-                    label=pattern.label_of(v),
-                )
                 iterations = max(
-                    model.adjusted_iterations(meta, profile), 1e-9
+                    memo.loop_iterations(
+                        memo.prefix(pattern, order + (v,)), "direct"
+                    ),
+                    1e-9,
                 )
                 entries = cumulative * iterations
                 grown.append((order + (v,), entries, cost + entries))
@@ -247,13 +315,14 @@ def _direct_order_candidates(pattern, profile, model, limit):
 # Decomposition plans
 # ----------------------------------------------------------------------
 
-def _decomp_specs(pattern, profile, model, constraints, options, mode):
+def _decomp_specs(pattern, memo, constraints, options, mode):
     """Yield ``(preliminary_cost, spec)`` pairs for all decompositions.
 
     The preliminary cost is a closed-form spec-level estimate (no AST is
     built); the caller pre-ranks on it and fully evaluates only the top
     candidates.
     """
+    induced = functools.partial(memo.prefix, pattern)
     for deco in all_decompositions(pattern):
         if len(deco.shrinkages) > options.max_shrinkages:
             continue
@@ -261,8 +330,7 @@ def _decomp_specs(pattern, profile, model, constraints, options, mode):
             continue
         ext_choices = [
             _best_extension_order(
-                pattern, deco.cutting_set, sub.component, profile, model,
-                options,
+                pattern, deco.cutting_set, sub.component, memo, options
             )
             for sub in deco.subpatterns
         ]
@@ -276,22 +344,21 @@ def _decomp_specs(pattern, profile, model, constraints, options, mode):
         per_ec_shrinkage = None
         global_shrinkage = None
         for vc_order in _vc_orders(pattern, deco, options):
-            vc_cost, ec_count = _vc_order_cost(
-                pattern, vc_order, profile, model
-            )
+            vc_cost, ec_count = _order_cost(memo, pattern, (), vc_order,
+                                            "vc")
             body = _gated_body_cost(ext_choices)
             gate = 1.0
             for _o, _c, expected in ext_choices:
                 gate *= min(1.0, expected)
             plr_choices = [0]
             if options.enable_plr:
-                plr_choices += _plr_choices(pattern, vc_order)
+                plr_choices += _plr_choices(vc_order, induced)
             for plr_k in plr_choices:
                 for include in shrinkage_variants:
                     if include:
                         if per_ec_shrinkage is None:
                             per_ec_shrinkage = _shrinkage_body_cost(
-                                deco, profile, model
+                                deco, memo
                             )
                         prelim = vc_cost + ec_count * (
                             body + gate * per_ec_shrinkage
@@ -299,8 +366,7 @@ def _decomp_specs(pattern, profile, model, constraints, options, mode):
                     else:
                         if global_shrinkage is None:
                             global_shrinkage = sum(
-                                _global_count_estimate(s.pattern, profile,
-                                                       model)
+                                memo.global_count(s.pattern)
                                 for s in deco.shrinkages
                             )
                         prelim = vc_cost + ec_count * body + global_shrinkage
@@ -314,25 +380,6 @@ def _decomp_specs(pattern, profile, model, constraints, options, mode):
                     )
 
 
-def _vc_order_cost(pattern, vc_order, profile, model) -> tuple[float, float]:
-    """(total loop cost, expected number of cutting-set matches)."""
-    matched: list[int] = []
-    cumulative = 1.0
-    cost = 0.0
-    for v in vc_order:
-        degree = sum(1 for w in matched if pattern.has_edge(v, w))
-        meta = LoopMeta(
-            prefix=pattern.induced_subpattern(matched + [v]),
-            constraint_degree=degree,
-            label=pattern.label_of(v),
-            role="vc",
-        )
-        cumulative *= max(model.adjusted_iterations(meta, profile), 1e-9)
-        cost += cumulative
-        matched.append(v)
-    return cost, cumulative
-
-
 def _gated_body_cost(ext_choices) -> float:
     """Per-e_C cost of the guarded subpattern-count nests."""
     body = 0.0
@@ -343,7 +390,7 @@ def _gated_body_cost(ext_choices) -> float:
     return body
 
 
-def _shrinkage_body_cost(deco, profile, model) -> float:
+def _shrinkage_body_cost(deco, memo) -> float:
     """Per-e_C cost of enumerating every shrinkage quotient."""
     from repro.patterns.matching_order import greedy_extension_order
 
@@ -354,9 +401,8 @@ def _shrinkage_body_cost(deco, profile, model) -> float:
         anchored = list(range(num_vc))
         ext = [num_vc + b for b in range(len(shrinkage.blocks))]
         order = greedy_extension_order(quotient, anchored, ext)
-        cost, _expected = _extension_order_cost_ex(
-            quotient, tuple(anchored), tuple(order), profile, model
-        )
+        cost, _expected = _order_cost(memo, quotient, tuple(anchored), order,
+                                      "extension")
         total += cost
     return total
 
@@ -392,17 +438,18 @@ def _vc_orders(pattern, deco: Decomposition, options) -> list[tuple[int, ...]]:
     return orders[: options.max_vc_orders]
 
 
-def _plr_choices(pattern, vc_order) -> list[int]:
+def _plr_choices(vc_order, induced) -> list[int]:
+    """PLR prefix lengths whose induced prefix (``induced(vertices)``)
+    has symmetry."""
     choices = []
     for k in range(2, len(vc_order) + 1):
-        prefix = pattern.induced_subpattern(vc_order[:k])
-        if automorphism_count(prefix) > 1:
+        if automorphism_count(induced(vc_order[:k])) > 1:
             choices.append(k)
     return choices
 
 
 def _best_extension_order(
-    pattern, cutting_set, component, profile, model, options
+    pattern, cutting_set, component, memo, options
 ) -> tuple[tuple[int, ...], float, float]:
     """Cheapest extension order for one subpattern, priced standalone.
 
@@ -416,40 +463,25 @@ def _best_extension_order(
     )
     best = None
     for order in orders:
-        cost, expected = _extension_order_cost_ex(
-            pattern, cutting_set, order, profile, model
-        )
+        cost, expected = _order_cost(memo, pattern, cutting_set, order,
+                                     "extension")
         if best is None or cost < best[1]:
             best = (order, cost, expected)
     assert best is not None
     return best
 
 
-def _extension_order_cost(pattern, cutting_set, order, profile, model) -> float:
-    return _extension_order_cost_ex(
-        pattern, cutting_set, order, profile, model
-    )[0]
-
-
-def _extension_order_cost_ex(
-    pattern, cutting_set, order, profile, model
-) -> tuple[float, float]:
-    """(per-entry loop cost, expected number of full extensions)."""
-    matched = list(cutting_set)
+def _order_cost(memo, pattern, anchored, order, role) -> tuple[float, float]:
+    """(per-entry loop cost, expected number of full matches) of binding
+    ``order`` after the already matched ``anchored`` vertices."""
+    matched = tuple(anchored)
     cumulative = 1.0
     cost = 0.0
     for v in order:
-        degree = sum(1 for w in matched if pattern.has_edge(v, w))
-        meta = LoopMeta(
-            prefix=pattern.induced_subpattern(matched + [v]),
-            constraint_degree=degree,
-            label=pattern.label_of(v),
-            role="extension",
-        )
-        iterations = model.adjusted_iterations(meta, profile)
+        matched += (v,)
+        iterations = memo.loop_iterations(memo.prefix(pattern, matched), role)
         cumulative *= max(iterations, 1e-9)
         cost += cumulative
-        matched.append(v)
     return cost, cumulative
 
 
@@ -476,6 +508,6 @@ def random_spec(pattern: Pattern, rng, plr: bool = False) -> PlanSpec:
         ext.append(orders[rng.randrange(len(orders))])
     plr_k = 0
     if plr:
-        choices = [0] + _plr_choices(pattern, vc_order)
+        choices = [0] + _plr_choices(vc_order, pattern.induced_subpattern)
         plr_k = choices[rng.randrange(len(choices))]
     return DecompSpec(deco, vc_order, tuple(ext), plr_k=plr_k)

@@ -66,12 +66,13 @@ class CostProfile:
         Returns ``None`` only when on-demand profiling is impossible
         (no graph attached).  A floor of 0.5 keeps ratios finite.
         """
-        key = canonical_code(pattern.without_labels())
+        unlabeled = pattern.without_labels()
+        key = canonical_code(unlabeled)
         value = self.counts.get(key)
         if value is None:
             if self._sample is None:
                 return None
-            value = self._estimate(pattern.without_labels())
+            value = self._estimate(unlabeled)
             self.counts[key] = value
         return max(value, 0.5)
 

@@ -113,8 +113,7 @@ def edge_induced_requirements(pattern: Pattern) -> list[tuple[Pattern, int]]:
     """
     if not pattern.is_connected:
         raise ValueError(f"{pattern!r} must be a connected pattern")
-    base = canonical_form(pattern.without_labels()
-                          if not pattern.is_labeled else pattern)
+    base = canonical_form(pattern)
     closure = _upward_closure(base)
     memo: dict[tuple, dict[tuple, int]] = {}
     expansion = _expand_vi_closure(base, closure, memo)

@@ -179,6 +179,9 @@ class Pattern:
                        labels=self.labels, name=self.name)
 
     def without_labels(self) -> "Pattern":
+        """This pattern's unlabeled form (itself when already unlabeled)."""
+        if self.labels is None:
+            return self
         return Pattern(self.n, self.edge_set, labels=None, name=self.name)
 
     def relabeled(self, permutation: Sequence[int]) -> "Pattern":

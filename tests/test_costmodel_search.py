@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import random
+from functools import cached_property
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.graph.generators import erdos_renyi, small_world
 from repro.patterns import catalog
 from repro.patterns.generation import all_connected_patterns
 from repro.patterns.isomorphism import automorphism_count, canonical_code
+from repro.patterns.pattern import Pattern
 from repro.runtime.engine import execute_plan
 from repro.sampling.edge_sampler import sample_edges, sample_vertices
 from repro.sampling.neighbor_sampling import estimate_injective_homomorphisms
@@ -214,3 +218,44 @@ class TestSearch:
             plan = compile_pattern(catalog.cycle(5), profile, model_name)
             got = execute_plan(plan, graph).embedding_count
             assert got == reference.count_embeddings(graph, catalog.cycle(5))
+
+
+class TestSearchMemoScope:
+    """The search prices each loop once per call; nothing outlives it."""
+
+    def _own(self, profile):
+        own = copy.copy(profile)
+        own.counts = dict(profile.counts)
+        return own
+
+    def test_count_change_reaches_the_next_search(self, profile):
+        own = self._own(profile)
+        model = get_model("approx_mining")
+        first = search(catalog.house(), own, model).cost
+        edge = canonical_code(catalog.chain(2))  # every plan's 2nd loop
+        own.counts[edge] = own.counts[edge] * 50.0
+        assert search(catalog.house(), own, model).cost != first
+
+    def test_search_leaves_no_cache_on_pattern_or_profile(self, profile):
+        own = self._own(profile)
+        pattern = catalog.house()
+        before_pattern, before_profile = set(vars(pattern)), set(vars(own))
+        search(pattern, own, get_model("approx_mining"))
+        lazy = {name for name, value in vars(Pattern).items()
+                if isinstance(value, cached_property)}
+        assert set(vars(pattern)) - before_pattern <= lazy
+        assert set(vars(own)) == before_profile
+        fields = {f.name for f in dataclasses.fields(own)}
+        assert set(vars(copy.copy(own))) == fields
+
+    def test_memoized_candidates_price_like_a_fresh_walk(self, profile):
+        own = self._own(profile)
+        model = get_model("approx_mining")
+        candidates = list(enumerate_candidates(catalog.bowtie(), own, model))
+        assert any(c.spec.kind == "decomp" for c in candidates)
+        for candidate in candidates:
+            cost = estimate_cost(candidate.root, own, model)
+            if isinstance(candidate.spec, DecompSpec) \
+                    and not candidate.spec.include_shrinkages:
+                continue  # plus global quotient estimates
+            assert candidate.cost == cost
