@@ -14,10 +14,17 @@ Lowering
     the row's split index), ``universe`` is ``graph.vertices()``, and
     ``trim_*`` is a binary-search view.  ``intersect``, ``subtract``,
     ``exclude`` and the bounded forms write into per-call scratch
-    through merge or gallop helpers.  Scalars are ``int64``;
+    through merge or gallop helpers.  A set defined inside a loop that
+    a deeper loop intersects with (or subtracts) gets a bitmap over
+    ``|V|``: its bits are set once after it is assigned and cleared at
+    the end of its block, and each deeper op filters its other operand
+    through the bitmap (an intersect whose other operand is
+    ``GALLOP_RATIO`` times larger gallops instead).  An ``exclude`` only
+    ever sized is counted, not copied.  Scalars are ``int64``;
     ``add``/``sub``/``mul`` and ``Accumulate`` are overflow-checked and
     ``floordiv`` keeps Python's floor semantics.  Names are renamed in
-    order of first appearance, so the source depends only on the AST.
+    order of first appearance, so the source depends only on the AST,
+    and a helper is emitted only when the plan calls it.
 
 When to build
     Only plans whose predicted cost reaches :data:`NATIVE_MIN_COST`,
@@ -71,6 +78,8 @@ from repro.compiler.ast_nodes import (
     Root,
     ScalarOp,
     SetOp,
+    child_blocks,
+    node_uses,
     walk,
 )
 from repro.runtime.setops import GALLOP_RATIO, STATS
@@ -103,9 +112,13 @@ SLICE_NS = 10_000_000
 #: Compiler flags; part of the build key.
 FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
 
-#: Set-op counters the C function keeps, in ``KernelStats`` field names.
-_STAT_FIELDS = ("intersect_gallop", "intersect_merge", "subtract_gallop",
-                "subtract_merge", "bounded")
+#: Set-op counters the C function keeps: ``KernelStats`` field name ->
+#: the prelude's index into ``st``.
+_STAT_FIELDS = {
+    "intersect_gallop": "IG", "intersect_merge": "IM",
+    "subtract_gallop": "SG", "subtract_merge": "SM", "bounded": "BD",
+    "size_only": "SO", "intersect_bitmap": "IB", "subtract_bitmap": "SB",
+}
 
 # Entry-point status codes.
 _DONE, _SLICE, _CANCELLED, _INEXACT = 0, 1, 2, 3
@@ -129,6 +142,8 @@ class Target:
     #: Scratch buffers bounded by the max degree and by ``|V|``.
     degree_buffers: int = 0
     vertex_buffers: int = 0
+    #: Bitmaps over ``|V|`` of loop-invariant sets.
+    bitmaps: int = 0
     uses_split: bool = False
 
 
@@ -183,7 +198,7 @@ def _lower_and_load(plan, compiler: str) -> Target:
         accumulators=plan.root.accumulators,
         degree_buffers=lowered.buffers.count("D"),
         vertex_buffers=lowered.buffers.count("V"),
-        uses_split=lowered.uses_split,
+        bitmaps=len(lowered.bitmaps), uses_split=lowered.uses_split,
     )
 
 
@@ -211,9 +226,11 @@ def run(plan, native: Target, graph, ctx, start=None, stop=None
     lo = 0 if start is None else start
     hi = _I64_MAX if stop is None else stop
     num_vertices, max_degree = graph.num_vertices, graph.max_degree
+    # One slack slot per buffer: a filter writes one past its last hit.
     scratch = np.empty(
-        1 + native.degree_buffers * max_degree
-        + native.vertex_buffers * num_vertices, dtype=np.int64,
+        1 + native.degree_buffers * (max_degree + 1)
+        + native.vertex_buffers * (num_vertices + 1)
+        + native.bitmaps * ((num_vertices >> 6) + 1), dtype=np.int64,
     )
     verts = graph.vertices()
     split = graph._split if native.uses_split else None
@@ -334,12 +351,11 @@ class _Unsupported(Exception):
 
 _PRELUDE = r"""#define _POSIX_C_SOURCE 199309L
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 typedef int64_t i64;
 typedef struct { const i64 *p; i64 n; } set_t;
-enum { IG, IM, SG, SM, BD };
-#define GALLOP %(gallop)d
 
 static inline i64 now_ns(void) {
     struct timespec t;
@@ -370,37 +386,49 @@ static inline set_t trim_above(set_t a, i64 x) {
     return a;
 }
 
-static inline set_t isect(set_t a, set_t b, i64 *out, i64 *st) {
-    if (a.n > b.n) { set_t t = a; a = b; b = t; }
+/* A helper that loops over a set is called, not inlined: every inlined
+ * copy of a loop adds compile time, and a call is cheap next to it. */
+#define NOINLINE __attribute__((noinline))
+"""
+
+#: Helpers emitted after the prelude only when the plan calls them (a
+#: smaller source builds faster), in this order.
+_HELPERS = {
+    "gallop": r"""
+/* a & b for a b at least GALLOP times larger: a binary search in b per
+ * member of a. */
+static NOINLINE set_t gallop(set_t a, set_t b, i64 *out, i64 *st) {
     set_t r = {out, 0};
     if (a.n == 0) return r;
-    i64 k = 0;
-    if (b.n >= a.n * GALLOP) {
-        const i64 *bp = b.p;
-        i64 bn = b.n;
-        st[IG]++;
-        for (i64 i = 0; i < a.n && bn > 0; i++) {
-            i64 x = a.p[i], j = lower(bp, bn, x);
-            bp += j;
-            bn -= j;
-            if (bn > 0 && *bp == x) { out[k++] = x; bp++; bn--; }
-        }
-    } else {
-        i64 i = 0, j = 0;
-        st[IM]++;
-        while (i < a.n && j < b.n) {
-            i64 x = a.p[i], y = b.p[j];
-            out[k] = x;
-            k += x == y;
-            i += x <= y;
-            j += y <= x;
-        }
+    st[IG]++;
+    for (i64 i = 0; i < a.n && b.n > 0; i++) {
+        i64 x = a.p[i], j = lower(b.p, b.n, x);
+        b.p += j;
+        b.n -= j;
+        if (b.n > 0 && *b.p == x) { out[r.n++] = x; b.p++; b.n--; }
     }
-    r.n = k;
     return r;
 }
-
-static inline set_t sub(set_t a, set_t b, i64 *out, i64 *st) {
+""",
+    "isect": r"""
+static NOINLINE set_t isect(set_t a, set_t b, i64 *out, i64 *st) {
+    if (a.n > b.n) { set_t t = a; a = b; b = t; }
+    if (b.n >= a.n * GALLOP) return gallop(a, b, out, st);
+    i64 i = 0, j = 0, k = 0;
+    st[IM]++;
+    while (i < a.n && j < b.n) {
+        i64 x = a.p[i], y = b.p[j];
+        out[k] = x;
+        k += x == y;
+        i += x <= y;
+        j += y <= x;
+    }
+    set_t r = {out, k};
+    return r;
+}
+""",
+    "sub": r"""
+static NOINLINE set_t sub(set_t a, set_t b, i64 *out, i64 *st) {
     if (a.n == 0 || b.n == 0) return a;
     i64 k = 0;
     if (b.n >= a.n * GALLOP) {
@@ -427,8 +455,9 @@ static inline set_t sub(set_t a, set_t b, i64 *out, i64 *st) {
     set_t r = {out, k};
     return r;
 }
-
-static inline set_t excl(set_t a, const i64 *xs, int m, i64 *out) {
+""",
+    "excl": r"""
+static NOINLINE set_t excl(set_t a, const i64 *xs, int m, i64 *out) {
     int hit = 0;
     for (int t = 0; t < m && !hit; t++) {
         i64 j = lower(a.p, a.n, xs[t]);
@@ -446,17 +475,78 @@ static inline set_t excl(set_t a, const i64 *xs, int m, i64 *out) {
     set_t r = {out, k};
     return r;
 }
+""",
+    "excl_n": r"""
+/* |a - xs| without writing it: a branchless scan of a short set, else a
+ * binary search for each distinct x. */
+static NOINLINE i64 excl_n(set_t a, const i64 *xs, int m, i64 *st) {
+    i64 n = a.n;
+    st[SO]++;
+    if (a.n <= 32 * m) {
+        for (i64 i = 0; i < a.n; i++) {
+            int hit = 0;
+            for (int t = 0; t < m; t++) hit |= a.p[i] == xs[t];
+            n -= hit;
+        }
+        return n;
+    }
+    for (int t = 0; t < m; t++) {
+        int seen = 0;
+        for (int u = 0; u < t; u++) seen |= xs[u] == xs[t];
+        i64 j = lower(a.p, a.n, xs[t]);
+        n -= !seen && j < a.n && a.p[j] == xs[t];
+    }
+    return n;
+}
+""",
+    "bitmap": r"""
+/* A bitmap over vertex ids holds a loop-invariant set; another set is
+ * filtered through it, one probe per member.  bm_mark sets (on = 1) or
+ * clears (on = 0) the words of a's members. */
+static NOINLINE void bm_mark(set_t a, uint64_t *m, uint64_t on) {
+    for (i64 i = 0; i < a.n; i++) {
+        uint64_t *w = m + (a.p[i] >> 6);
+        *w = (*w | (uint64_t)1 << (a.p[i] & 63)) & -on;
+    }
+}
 
+/* Members of a in (keep = 1) or not in (keep = 0) the bitmap. */
+static NOINLINE set_t bm_filter(set_t a, const uint64_t *m, uint64_t keep,
+                                i64 *out) {
+    i64 k = 0;
+    for (i64 i = 0; i < a.n; i++) {
+        i64 x = a.p[i];
+        out[k] = x;
+        k += ((m[x >> 6] >> (x & 63)) & 1) == keep;
+    }
+    set_t r = {out, k};
+    return r;
+}
+
+/* a & fixed, m holding fixed; an a GALLOP times larger gallops. */
+static inline set_t bm_and(set_t a, set_t fixed, const uint64_t *m, i64 *out,
+                           i64 *st) {
+    if (a.n >= fixed.n * GALLOP) return gallop(fixed, a, out, st);
+    st[IB]++;
+    return bm_filter(a, m, 1, out);
+}
+
+static inline set_t bm_not(set_t a, const uint64_t *m, i64 *out, i64 *st) {
+    st[SB]++;
+    return bm_filter(a, m, 0, out);
+}
+""",
+    "fdiv": r"""
 /* Python's floor division; nonzero when it has no int64 result. */
 static inline int fdiv(i64 a, i64 b, i64 *r) {
     if (b == 0 || (a == INT64_MIN && b == -1)) return 1;
     i64 q = a / b;
-    if (a %% b != 0 && ((a < 0) != (b < 0))) q--;
+    if (a % b != 0 && ((a < 0) != (b < 0))) q--;
     *r = q;
     return 0;
 }
-
-"""
+""",
+}
 
 _SIGNATURE = """int decomine_plan(
     const i64 *restrict indptr, const i64 *restrict indices,
@@ -481,11 +571,52 @@ _MERGES = {
 }
 
 
+#: Operand positions a set op can read through a bitmap: either side
+#: of an intersect, the right side of a subtract.
+_PROBES = {op: (0, 1) if op.startswith("intersect") else (1,)
+           for op in _MERGES}
+
+
+def _scan(root: Root) -> tuple[set[str], set[str]]:
+    """The sets that get a bitmap, and the excludes that are only counted.
+
+    A set gets a bitmap when it is defined inside a loop and a deeper
+    loop reads it through :data:`_PROBES`; an ``exclude`` is only
+    counted when every use of it is a ``size``.
+    """
+    depths: dict[str, int] = {}
+    marked: set[str] = set()
+    uses: dict[str, list[Node]] = {}
+
+    def visit(block: list[Node], depth: int) -> None:
+        for node in block:
+            for name in node_uses(node):
+                uses.setdefault(name, []).append(node)
+            if isinstance(node, SetOp):
+                depths[node.target] = depth
+                marked.update(
+                    node.args[k] for k in _PROBES.get(node.op, ())
+                    if 1 <= depths.get(node.args[k], depth) < depth)
+            for child in child_blocks(node):
+                visit(child, depth + isinstance(node, Loop))
+
+    visit(root.body, 0)
+    counted = {
+        node.target for node in walk(root)
+        if isinstance(node, SetOp) and node.op == "exclude"
+        and len(node.args) > 1
+        and all(isinstance(use, ScalarOp) and use.op == "size"
+                for use in uses.get(node.target, ()))
+    }
+    return marked, counted
+
+
 class _Lowering:
     """One pass over the AST, producing ``source`` and its scratch needs.
 
     ``buffers`` lists each writing set op's scratch bound: ``"D"`` (max
-    degree) or ``"V"`` (vertex count), in declaration order.
+    degree) or ``"V"`` (vertex count), in declaration order;
+    ``bitmaps`` lists the sets that get a bitmap, in the same order.
     """
 
     def __init__(self, root: Root, mode: str) -> None:
@@ -503,9 +634,17 @@ class _Lowering:
         self.kinds: dict[str, int] = {"v": 0, "s": 0, "c": 0, "i": 0}
         self.bounds: dict[str, str] = {}
         self.buffers: list[str] = []
+        self.helpers: set[str] = set()
         self.uses_split = False
         self.acc = {name: f"acc[{k}]"
                     for k, name in enumerate(root.accumulators)}
+        self.marked, self.counted = _scan(root)
+        self.bitmaps: list[str] = []
+        #: Sets whose bitmap holds their members: (bitmap, loop depth).
+        self.live: dict[str, tuple[str, int]] = {}
+        #: Per open block, the bitmaps set in it (cleared at its end).
+        self.scopes: list[list[str]] = []
+        self.loop_depth = 0
         self.lines: list[str] = []
         self._lower_body(root.body)
         self.body_bytes = sum(len(line) + 1 for line in self.lines)
@@ -517,13 +656,29 @@ class _Lowering:
         ]
         buffers, degree, vertex = [], 0, 0
         for k, bound in enumerate(self.buffers):
-            buffers.append(f"    i64 *b{k} = scratch + {vertex} * nv + "
-                           f"{degree} * maxdeg;")
+            buffers.append(f"    i64 *b{k} = scratch + {vertex} * (nv + 1) + "
+                           f"{degree} * (maxdeg + 1);")
             degree += bound == "D"
             vertex += bound == "V"
+        if self.bitmaps:
+            # Zeroed at every entry, so no exit path has to leave the
+            # bitmaps clean.
+            buffers += [
+                f"    uint64_t *m0 = (uint64_t *)(scratch + {vertex} * "
+                f"(nv + 1) + {degree} * (maxdeg + 1));",
+                *(f"    uint64_t *m{k} = m0 + {k} * ((nv >> 6) + 1);"
+                  for k in range(1, len(self.bitmaps))),
+                f"    memset(m0, 0, {len(self.bitmaps)} * ((nv >> 6) + 1) "
+                f"* sizeof *m0);",
+            ]
+        if self.helpers & {"isect", "bitmap"}:
+            self.helpers.add("gallop")
+        header = [_PRELUDE, f"#define GALLOP {GALLOP_RATIO}",
+                  "enum { " + ", ".join(_STAT_FIELDS.values()) + " };"]
         self.source = "\n".join([
-            _PRELUDE % {"gallop": GALLOP_RATIO} + _SIGNATURE,
-            *decls, *buffers,
+            *header, *(_HELPERS[name] for name in _HELPERS
+                       if name in self.helpers),
+            _SIGNATURE, *decls, *buffers,
             "    i64 started = now_ns();",
             *self.lines,
             "    return 0;",
@@ -597,7 +752,7 @@ class _Lowering:
             f"return 2; }}",
             f"        {var} = {source}.p[{index}];",
         ]
-        self._block(loop.body, 2)
+        self._loop_body(loop.body, 2)
         self.lines += [
             f"        if (now_ns() - started >= slice_ns && {index} + 1 < hi)"
             f" {{ *resume = {index} + 1; return 1; }}",
@@ -607,13 +762,27 @@ class _Lowering:
             self._statement(node, 1)
 
     def _block(self, nodes: list[Node], depth: int) -> None:
+        """A loop or ``IfPositive`` body.  A bitmap set in it is cleared
+        at its end, where the set is still assigned (an ``IfPositive``
+        body may not run at all)."""
+        self.scopes.append([])
         for node in nodes:
             self._statement(node, depth)
+        pad = "    " * depth
+        for name in reversed(self.scopes.pop()):
+            bitmap, _ = self.live.pop(name)
+            self.lines.append(
+                f"{pad}bm_mark({self.names[name]}, {bitmap}, 0);")
+
+    def _loop_body(self, nodes: list[Node], depth: int) -> None:
+        self.loop_depth += 1
+        self._block(nodes, depth)
+        self.loop_depth -= 1
 
     def _statement(self, node: Node, depth: int) -> None:
         pad = "    " * depth
         if isinstance(node, SetOp):
-            self.lines.append(f"{pad}{self._set_op(node)}")
+            self.lines += [f"{pad}{line}" for line in self._set_op(node)]
         elif isinstance(node, ScalarOp):
             self.lines.append(f"{pad}{self._scalar_op(node)}")
         elif isinstance(node, Loop):
@@ -624,7 +793,7 @@ class _Lowering:
                 f"{pad}for ({index} = 0; {index} < {source}.n; {index}++) {{",
                 f"{pad}    {var} = {source}.p[{index}];",
             ]
-            self._block(node.body, depth + 1)
+            self._loop_body(node.body, depth + 1)
             self.lines.append(f"{pad}}}")
         elif isinstance(node, Accumulate):
             target = self.acc.get(node.target) or self._ref(node.target)
@@ -647,7 +816,7 @@ class _Lowering:
         self.buffers.append(bound)
         return f"b{len(self.buffers) - 1}"
 
-    def _set_op(self, node: SetOp) -> str:
+    def _set_op(self, node: SetOp) -> list[str]:
         op, args = node.op, node.args
         if op == "universe":
             expr, bound = "(set_t){verts, nv}", "V"
@@ -667,36 +836,78 @@ class _Lowering:
             a = self._set(args[0])
             expr, bound = f"{op}({a}, {self._ref(args[1])})", self.bounds[a]
         elif op in _MERGES:
-            helper, trim = _MERGES[op]
-            a, b = self._set(args[0]), self._set(args[1])
-            # An intersect is bounded by its smaller operand, a subtract
-            # by its left one.
-            bound = self.bounds[a]
-            if helper == "isect" and self.bounds[b] == "D":
-                bound = "D"
-            left = f"{trim}({a}, {self._ref(args[2])})" if trim else a
-            expr = f"{helper}({left}, {b}, {self._buffer(bound)}, st)"
-            if trim:
-                expr = f"(st[BD]++, {expr})"
+            expr, bound = self._merge(node)
         elif op == "exclude":
             a = self._set(args[0])
             if len(args) == 1:
                 expr, bound = a, self.bounds[a]
             else:
+                xs = (f"(const i64[]){{{', '.join(map(self._ref, args[1:]))}}}"
+                      f", {len(args) - 1}")
+                if node.target in self.counted:
+                    self.helpers.add("excl_n")
+                    target = self._define(node.target, "c")
+                    return [f"{target} = excl_n({a}, {xs}, st);"]
+                self.helpers.add("excl")
                 bound = self.bounds[a]
-                xs = ", ".join(self._ref(x) for x in args[1:])
-                expr = (f"excl({a}, (const i64[]){{{xs}}}, {len(args) - 1}, "
-                        f"{self._buffer(bound)})")
+                expr = f"excl({a}, {xs}, {self._buffer(bound)})"
         else:
             raise _Unsupported(f"set op {op}")
         target = self._define(node.target, "s")
         self.bounds[target] = bound
-        return f"{target} = {expr};"
+        lines = [f"{target} = {expr};"]
+        if node.target in self.marked:
+            bitmap = f"m{len(self.bitmaps)}"
+            self.bitmaps.append(node.target)
+            self.helpers.add("bitmap")
+            self.live[node.target] = (bitmap, self.loop_depth)
+            self.scopes[-1].append(node.target)
+            lines.append(f"bm_mark({target}, {bitmap}, 1);")
+        return lines
+
+    def _merge(self, node: SetOp) -> tuple[str, str]:
+        """An intersect or subtract: its value and bound.
+
+        Against a bitmapped set defined in an enclosing loop, the other
+        operand (trimmed first, for the bounded forms: the trims
+        commute) is filtered through the bitmap.
+        """
+        helper, trim = _MERGES[node.op]
+        args = node.args
+        a, b = self._set(args[0]), self._set(args[1])
+        # An intersect is bounded by its smaller operand, a subtract by
+        # its left one.
+        bound = self.bounds[a]
+        if helper == "isect" and self.bounds[b] == "D":
+            bound = "D"
+        buffer = self._buffer(bound)
+        probes = [(self.live[args[k]][1], k) for k in _PROBES[node.op]
+                  if args[k] in self.live
+                  and self.live[args[k]][1] < self.loop_depth]
+        if probes:
+            k = min(probes)[1]  # the outermost
+            fixed, other = (a, b) if k == 0 else (b, a)
+            if trim:
+                other = f"{trim}({other}, {self._ref(args[2])})"
+            bitmap = self.live[args[k]][0]
+            self.helpers.add("bitmap")
+            expr = (f"bm_and({other}, {fixed}, {bitmap}, {buffer}, st)"
+                    if helper == "isect"
+                    else f"bm_not({other}, {bitmap}, {buffer}, st)")
+        else:
+            self.helpers.add(helper)
+            left = f"{trim}({a}, {self._ref(args[2])})" if trim else a
+            expr = f"{helper}({left}, {b}, {buffer}, st)"
+        if trim:
+            expr = f"(st[BD]++, {expr})"
+        return expr, bound
 
     def _scalar_op(self, node: ScalarOp) -> str:
         op, args = node.op, node.args
         if op in ("const", "size"):
-            expr = (self._ref(args[0]) if op == "const"
+            # A counted exclude is already its size.
+            expr = (self._ref(args[0])
+                    if op == "const" or args[0] in self.counted
                     else f"{self._set(args[0])}.n")
             return f"{self._define(node.target, 'c')} = {expr};"
         x, y = self._ref(args[0]), self._ref(args[1])
@@ -705,5 +916,6 @@ class _Lowering:
             return (f"if ({_CHECKED[op]}({x}, {y}, &{target})) "
                     f"goto inexact;")
         if op == "floordiv":
+            self.helpers.add("fdiv")
             return f"if (fdiv({x}, {y}, &{target})) goto inexact;"
         raise _Unsupported(f"scalar op {op}")

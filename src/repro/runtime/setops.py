@@ -104,6 +104,10 @@ class KernelStats(threading.local):
         "subtract_merge",
         "bounded",
         "size_only",
+        # Filters through a bitmapped loop-invariant set; only the C
+        # target of the codegen executor makes them.
+        "intersect_bitmap",
+        "subtract_bitmap",
     )
 
     def __init__(self) -> None:

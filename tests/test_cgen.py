@@ -3,12 +3,15 @@
 Covers what the differential suites cannot see from counts alone: the
 Python fallback when no compiler is found or a plan has no C lowering,
 exact big-integer results on ``int64`` overflow, Python's floor
-division, chunk ranges and time slices, cooperative cancellation, and
-the build cache (canonical sources, one build per source).
+division, chunk ranges and time slices, cooperative cancellation,
+which sets get a bitmap and where it is cleared, the gallop escape and
+size-only excludes, and the build cache (canonical sources, one build
+per source).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -18,6 +21,7 @@ from repro.compiler import cgen
 from repro.compiler.ast_nodes import (
     Accumulate,
     HashClear,
+    IfPositive,
     Loop,
     Root,
     ScalarOp,
@@ -28,13 +32,15 @@ from repro.compiler.codegen import compile_root
 from repro.compiler.pipeline import CompiledPlan, compile_pattern, compile_spec
 from repro.compiler.specs import Constraint, DirectSpec
 from repro.costmodel import profile_graph
-from repro.graph import shared
+from repro.graph import datasets, shared
+from repro.graph.csr import CSRGraph
 from repro.observe import metrics as om
 from repro.patterns import catalog
 from repro.patterns.pattern import Pattern
 from repro.runtime import resources
 from repro.runtime.context import ExecutionContext
 from repro.runtime.engine import EngineOptions, chunk_ranges, execute_plan
+from repro.runtime.setops import STATS
 from repro.runtime.resources import (
     ChunkCancelled,
     ResourceBudget,
@@ -173,16 +179,190 @@ def test_chunk_counts_add_up_to_the_whole_range(profiled):
     assert whole == plan.function(graph, ExecutionContext())
 
 
-def test_time_slices_resume_exactly(profiled, monkeypatch):
-    graph, profile = profiled
-    plan = compile_pattern(catalog.house(), profile)
+#: Six vertices, eleven edges: its plan nests bitmapped sets 3 deep.
+SIX = Pattern(6, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5),
+                  (2, 4), (2, 5), (3, 5), (4, 5)])
+
+
+def _resume_every_iteration(plan, graph, monkeypatch) -> None:
+    """Every outer iteration ends in a slice return and a resume; the
+    bitmaps set in it are clear by then."""
+    native = cgen.resolve(plan)
+    assert native.bitmaps > 0
     polls = []
     ctx = ExecutionContext()
     ctx.poll_cancel = lambda: polls.append(1)
     monkeypatch.setattr(cgen, "SLICE_NS", 0)
-    counts = cgen.run(plan, cgen.resolve(plan), graph, ctx)
+    counts = cgen.run(plan, native, graph, ctx)
     assert counts == plan.function(graph, ExecutionContext())
     assert len(polls) == graph.num_vertices - 1
+
+
+def test_time_slices_resume_exactly(profiled, monkeypatch):
+    graph, profile = profiled
+    _resume_every_iteration(compile_pattern(catalog.house(), profile),
+                            graph, monkeypatch)
+
+
+def test_time_slices_resume_nested_bitmaps_exactly(profiled, monkeypatch):
+    graph, profile = profiled
+    _resume_every_iteration(compile_pattern(SIX, profile), graph,
+                            monkeypatch)
+
+
+def _enclosing(source: str, needle: str) -> str:
+    """The opening line of the C block around the line holding needle."""
+    lines = source.splitlines()
+    at = next(k for k, line in enumerate(lines) if needle in line)
+    indent = len(lines[at]) - len(lines[at].lstrip())
+    return next(line.strip() for line in reversed(lines[:at])
+                if line.strip() and len(line) - len(line.lstrip()) < indent)
+
+
+def _bitmapped(source: str) -> list[str]:
+    return re.findall(r"bm_mark\((s\d+), m\d+, 1\);", source)
+
+
+def test_bitmap_set_under_if_positive_is_cleared_in_that_block(tiny_graph,
+                                                               profiled):
+    """An ``IfPositive`` body may not run, so its set is unassigned after
+    it; the bitmap is cleared inside the body, not at the loop's end.
+    Vertex 0 has no lower neighbor, so the first iteration skips it."""
+    plan = _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        SetOp("s3", "trim_below", ("s2", "v1")),
+        ScalarOp("c1", "size", ("s3",)),
+        IfPositive("c1", [
+            SetOp("s4", "copy", ("s3",)),
+            Loop("v2", "s4", [
+                SetOp("s5", "neighbors", ("v2",)),
+                SetOp("s6", "intersect", ("s4", "s5")),
+                ScalarOp("c2", "size", ("s6",)),
+                Accumulate(COUNT_ACC, "c2"),
+            ]),
+        ]),
+    ])
+    native = cgen.resolve(plan)
+    assert native.bitmaps == 1
+    [name] = _bitmapped(native.source)
+    for on in (1, 0):  # set, then cleared
+        assert _enclosing(native.source,
+                          f"bm_mark({name}, m0, {on})").startswith("if (")
+    for graph in (tiny_graph, profiled[0]):
+        counts = cgen.run(plan, native, graph, ExecutionContext())
+        assert counts == plan.function(graph, ExecutionContext())
+        assert counts[COUNT_ACC] > 0
+
+
+def test_house_bitmaps_only_the_first_neighborhood():
+    """``N(v0)`` is fixed for every deeper loop of house; ``N(v1)`` is
+    only excluded from, which reads no bitmap."""
+    graph = datasets.load("lj")
+    plan = compile_pattern(catalog.house(), profile_graph(graph))
+    native = cgen.resolve(plan)
+    first = re.search(r"(s\d+) = \(set_t\)\{indices \+ indptr\[v0\]",
+                      native.source)
+    assert _bitmapped(native.source) == [first.group(1)]
+    assert native.bitmaps == 1
+    before = STATS.snapshot()
+    result = execute_plan(plan, graph)
+    assert result.target == "c"
+    assert result.metrics.kernel_stats["intersect_bitmap"] > 0
+    assert STATS.delta(before)["intersect_bitmap"] > 0
+    assert result.embedding_count == reference.count_embeddings(
+        graph, catalog.house())
+
+
+def test_induced_plans_subtract_through_the_bitmap(profiled):
+    """A vertex-induced plan subtracts enclosing neighborhoods; the
+    right operand's bitmap filters the left one."""
+    graph, profile = profiled
+    plan = compile_pattern(catalog.house(), profile, induced=True)
+    native = cgen.resolve(plan)
+    assert "bm_not(" in native.source
+    before = STATS.snapshot()
+    counts = cgen.run(plan, native, graph, ExecutionContext())
+    assert STATS.delta(before)["subtract_bitmap"] > 0
+    assert counts == plan.function(graph, ExecutionContext())
+
+
+def test_hub_operand_keeps_the_gallop_path():
+    """An operand ``GALLOP_RATIO`` times the bitmapped set gallops over
+    it rather than filtering every hub neighbor through the bitmap."""
+    leaves = 39
+    graph = CSRGraph.from_edges(
+        leaves + 1, [(0, v) for v in range(1, leaves + 1)]
+        + [(v, v + 1) for v in range(1, leaves)], name="hub")
+    assert leaves >= 3 * cgen.GALLOP_RATIO
+    plan = _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        Loop("v2", "s2", [
+            SetOp("s3", "neighbors", ("v2",)),
+            SetOp("s4", "intersect", ("s2", "s3")),
+            ScalarOp("c1", "size", ("s4",)),
+            Accumulate(COUNT_ACC, "c1"),
+        ]),
+    ])
+    native = cgen.resolve(plan)
+    assert native.bitmaps == 1
+    before = STATS.snapshot()
+    counts = cgen.run(plan, native, graph, ExecutionContext())
+    delta = STATS.delta(before)
+    assert counts == plan.function(graph, ExecutionContext())
+    # Each leaf's step to the hub gallops; every other step filters.
+    assert delta["intersect_gallop"] == leaves
+    assert delta["intersect_merge"] == 0
+    assert delta["intersect_bitmap"] == 2 * graph.num_edges - leaves
+
+
+def test_a_filter_writing_past_its_last_hit_stays_in_its_buffer():
+    """Filtering the universe through the hub's bitmap hits ``maxdeg``
+    times, then writes the last vertex one slot further: into the
+    buffer's slack, not the live bitmap that follows the buffers."""
+    n = 20
+    hub = n - 1
+    graph = CSRGraph.from_edges(n, [(v, hub) for v in range(hub)],
+                                name="star")
+    assert n < cgen.GALLOP_RATIO * graph.max_degree  # no gallop escape
+    plan = _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        Loop("v2", "s2", [
+            SetOp("s3", "intersect", ("s1", "s2")),
+            ScalarOp("c1", "size", ("s3",)),
+            Accumulate(COUNT_ACC, "c1"),
+        ]),
+    ])
+    native = cgen.resolve(plan)
+    assert native.bitmaps == 1
+    counts = cgen.run(plan, native, graph, ExecutionContext())
+    assert counts == plan.function(graph, ExecutionContext())
+
+
+def test_size_only_exclude_counts_distinct_present_values():
+    """``size(exclude(a, xs))`` is ``|a|`` less the distinct xs in a,
+    through the short scan (a neighborhood) and the binary searches
+    (the universe); v1 repeats, v2 and the constant are absent."""
+    graph = CSRGraph.from_edges(
+        300, [(v, (v * 7 + 1) % 300) for v in range(300)], name="ring")
+    plan = _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        Loop("v2", "s2", [
+            SetOp("s3", "neighbors", ("v2",)),
+            SetOp("s4", "exclude", ("s3", "v1", "v1", "v2", 10 ** 6)),
+            SetOp("s5", "exclude", ("s1", "v1", "v2", "v1", 10 ** 6)),
+            ScalarOp("c1", "size", ("s4",)),
+            ScalarOp("c2", "size", ("s5",)),
+            ScalarOp("c3", "add", ("c1", "c2")),
+            Accumulate(COUNT_ACC, "c3"),
+        ]),
+    ])
+    native = cgen.resolve(plan)
+    assert native.source.count("excl_n(") == 3  # the helper and two calls
+    assert "excl(" not in native.source
+    before = STATS.snapshot()
+    counts = cgen.run(plan, native, graph, ExecutionContext())
+    assert counts == plan.function(graph, ExecutionContext())
+    assert STATS.delta(before)["size_only"] == 2 * 2 * graph.num_edges
 
 
 def test_set_cancel_byte_stops_the_c_loop(profiled):
