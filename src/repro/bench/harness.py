@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.compiler import cgen
 from repro.exceptions import BudgetExceededError
 from repro.observe.trace import span
 
@@ -104,6 +105,8 @@ def time_call_preemptive(
         except BudgetExceededError:
             queue.put(("crashed", None))
 
+    # Fork with no C builder thread alive, as the supervisor does.
+    cgen.wait()
     started = time.perf_counter()
     child = ctx.Process(target=runner)
     child.start()

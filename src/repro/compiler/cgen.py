@@ -32,7 +32,10 @@ When to build
     compiler run costs about what that much Python execution does.
     Hash-table nodes, ``IfPred``/``EmitPartial``, label set ops and
     emit mode stay on ``plan.function``, and so does every plan when no
-    compiler is found; :func:`resolve` says why.
+    compiler is found; :func:`resolve` says why.  A build starts when
+    the session hands out the plan (:func:`prefetch`, on builder
+    threads), so it overlaps whatever runs next; a run whose build is
+    still in flight waits for it.
 
 Safety
     The C loop reads the run's cancel-token byte on every outer
@@ -43,24 +46,33 @@ Safety
     which yields Python's exact big-integer count or its exception.
 
 Build cache
-    Entry points are kept per process, keyed by
-    ``sha256(source, compiler version, flags)``; the dict holds loaded
-    functions only, never plans or graphs.  Each build goes to a private
-    temporary directory, removed once the library is loaded.  A plan's
-    resolved :class:`Target` lives on the plan (``CompiledPlan.native``),
-    so fork workers inherit it and never build.
+    Builds are kept per process, keyed by ``sha256(source, compiler
+    version, flags)``; each key's entry is settled once with the loaded
+    function or the failure reason, and holds no plans or graphs.  The
+    first caller of a key builds it without holding the cache lock;
+    later callers wait for that build.  At most ``os.cpu_count()``
+    builder threads run queued builds, and each exits once the queue is
+    empty; :func:`wait` joins them (the supervisor calls it before it
+    forks its pool).  Each build goes to a private temporary directory,
+    removed once the library is loaded; at exit, running compilers are
+    killed with their process group and their directories removed.  A
+    plan's resolved :class:`Target` lives on the plan
+    (``CompiledPlan.native``), so fork workers inherit it and never
+    build.
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -90,9 +102,11 @@ __all__ = [
     "SLICE_NS",
     "Target",
     "find_compiler",
+    "prefetch",
     "resolve",
     "run",
     "target_for",
+    "wait",
 ]
 
 #: Smallest predicted plan cost worth a compiler run.  The estimate
@@ -118,6 +132,7 @@ _STAT_FIELDS = {
     "intersect_gallop": "IG", "intersect_merge": "IM",
     "subtract_gallop": "SG", "subtract_merge": "SM", "bounded": "BD",
     "size_only": "SO", "intersect_bitmap": "IB", "subtract_bitmap": "SB",
+    "exclude": "EX",
 }
 
 # Entry-point status codes.
@@ -132,6 +147,8 @@ class Target:
 
     A ``"c"`` target carries the loaded entry point and what :func:`run`
     needs to call it; a ``"python"`` target carries the fallback reason.
+    On ``plan.native`` (never from :func:`resolve`), a ``"c"`` target
+    without an entry point is a lowering whose build has been started.
     """
 
     target: str
@@ -165,7 +182,8 @@ def resolve(plan) -> Target:
 
     The cost gate and the compiler lookup are checked on every call;
     the lowering, its size-scaled gate and the build are decided once
-    and kept on ``plan.native``.
+    and kept on ``plan.native``.  A build :func:`prefetch` started is
+    joined, not repeated.
     """
     cost = plan.cost
     if not cost >= NATIVE_MIN_COST:  # NaN fails too
@@ -176,11 +194,37 @@ def resolve(plan) -> Target:
         return Target("python", "no C compiler found")
     native = plan.native
     if native is None:
-        native = plan.native = _lower_and_load(plan, compiler)
+        native = _lower(plan)
+    if native.target == "c" and native.entry is None:
+        entry = _entry_point(native.source, compiler)
+        native = (Target("python", entry) if isinstance(entry, str)
+                  else replace(native, entry=entry))
+    plan.native = native
     return native
 
 
-def _lower_and_load(plan, compiler: str) -> Target:
+def prefetch(plan) -> None:
+    """Start building the C entry points ``plan`` and its aux plans
+    will need, on builder threads, so the builds overlap whatever runs
+    next.  Plans under the cost gate, and every plan when no compiler
+    is found, are left alone."""
+    compiler = find_compiler()
+    if compiler is None:
+        return
+    pending = [plan]
+    while pending:
+        each = pending.pop()
+        pending += [aux for aux, _ in each.aux_plans]
+        if each.native is not None or not each.cost >= NATIVE_MIN_COST:
+            continue
+        native = each.native = _lower(each)
+        if native.target == "c":
+            _start(native.source, compiler)
+
+
+def _lower(plan) -> Target:
+    """The plan's C lowering as a ``"c"`` target whose entry point is
+    not built yet, or the ``"python"`` target saying why there is none."""
     try:
         lowered = _Lowering(plan.root, plan.mode)
     except _Unsupported as exc:
@@ -190,12 +234,8 @@ def _lower_and_load(plan, compiler: str) -> Target:
         return Target("python", f"predicted cost {plan.cost:.3g} below "
                                 f"{gate:.3g}, the gate scaled to a "
                                 f"{lowered.body_bytes}-byte C loop nest")
-    entry = _entry_point(lowered.source, compiler)
-    if isinstance(entry, str):
-        return Target("python", entry)
     return Target(
-        "c", entry=entry, source=lowered.source,
-        accumulators=plan.root.accumulators,
+        "c", source=lowered.source, accumulators=plan.root.accumulators,
         degree_buffers=lowered.buffers.count("D"),
         vertex_buffers=lowered.buffers.count("V"),
         bitmaps=len(lowered.bitmaps), uses_split=lowered.uses_split,
@@ -278,8 +318,34 @@ def _add_stats(stats) -> None:
 # Build cache
 # ----------------------------------------------------------------------
 
-#: Loaded entry points (or build-failure reasons) by build key.
-_BUILDS: dict[str, object] = {}
+class _Build:
+    """One build key's outcome, set once: the loaded entry point or why
+    there is none.  Waiters block on ``ready``."""
+
+    __slots__ = ("ready", "entry")
+
+    def __init__(self) -> None:
+        self.ready = threading.Event()
+        self.entry: object = None
+
+    def settle(self, entry) -> None:
+        self.entry = entry
+        self.ready.set()
+
+
+#: Builds by key, finished or in flight.
+_BUILDS: dict[str, _Build] = {}
+#: Prefetched builds no thread has started yet: key -> (source, compiler).
+_QUEUE: dict[str, tuple[str, str]] = {}
+#: Builder threads started and not yet joined by :func:`wait`.
+_THREADS: list[threading.Thread] = []
+#: Builder threads still taking jobs from ``_QUEUE``.
+_builders = 0
+#: Compiler process groups and temporary directories of running builds,
+#: killed and removed if the process exits first.
+_RUNNING: set[subprocess.Popen] = set()
+_TMPDIRS: set[str] = set()
+_closing = False
 _BUILD_LOCK = threading.Lock()
 
 
@@ -293,52 +359,210 @@ def _compiler_version(compiler: str) -> str:
     return out.stdout.splitlines()[0] if out.stdout else compiler
 
 
-def _entry_point(source: str, compiler: str):
-    """The loaded entry point for ``source``, or why there is none."""
+def _key(source: str, compiler: str) -> str:
     digest = hashlib.sha256()
     for part in (source, _compiler_version(compiler), " ".join(FLAGS)):
         digest.update(part.encode())
         digest.update(b"\x00")
-    key = digest.hexdigest()
+    return digest.hexdigest()
+
+
+def _entry_point(source: str, compiler: str):
+    """The loaded entry point for ``source``, or why there is none.
+
+    Builds it in the calling thread unless a build of the same key has
+    started, in which case it waits for that one; a prefetched build
+    that no builder has started yet is taken over.
+    """
+    key = _key(source, compiler)
     with _BUILD_LOCK:
-        entry = _BUILDS.get(key)
-        if entry is None:
-            entry = _BUILDS[key] = _build(source, compiler, key)
-    return entry
+        build = _BUILDS.get(key)
+        mine = build is None or _QUEUE.pop(key, None) is not None
+        if build is None:
+            build = _BUILDS[key] = _Build()
+    if mine:
+        _fulfil(build, source, compiler, key, traced=True)
+    build.ready.wait()
+    return build.entry
 
 
-def _build(source: str, compiler: str, key: str):
+def _start(source: str, compiler: str) -> None:
+    """Queue a build of ``source`` for a builder thread, starting one
+    when fewer than ``os.cpu_count()`` are taking jobs."""
+    global _builders
+    key = _key(source, compiler)
+    with _BUILD_LOCK:
+        if _closing or key in _BUILDS:
+            return
+        _BUILDS[key] = _Build()
+        _QUEUE[key] = (source, compiler)
+        if _builders < (os.cpu_count() or 1):
+            _builders += 1
+            thread = threading.Thread(target=_builder, daemon=True,
+                                      name="repro-cgen-builder")
+            _THREADS.append(thread)
+            thread.start()
+
+
+def _builder() -> None:
+    """Run queued builds until none is left, then exit: an idle builder
+    would be one more thread alive at the next fork."""
+    global _builders
+    while True:
+        with _BUILD_LOCK:
+            if not _QUEUE:
+                _builders -= 1
+                return
+            key = next(iter(_QUEUE))
+            source, compiler = _QUEUE.pop(key)
+            build = _BUILDS[key]
+        # The trace keeps one span stack per process, so only a build in
+        # the thread that needs it opens a span.
+        _fulfil(build, source, compiler, key, traced=False)
+
+
+def wait() -> None:
+    """Block until every queued build has finished and every builder
+    thread has exited (before a fork, and in tests)."""
+    while True:
+        with _BUILD_LOCK:
+            _THREADS[:] = [t for t in _THREADS if t.is_alive()]
+            threads = list(_THREADS)
+        if not threads:
+            return
+        for thread in threads:
+            thread.join()
+
+
+def _fulfil(build: _Build, source: str, compiler: str, key: str,
+            traced: bool) -> None:
+    """Build ``source`` and settle ``build``; waiters never stay blocked."""
+    try:
+        entry = _build(source, compiler, key, traced)
+    except Exception as exc:
+        entry = f"C build failed: {exc}"
+    except BaseException:
+        # Interrupted, not failed: a later resolve builds it again.
+        with _BUILD_LOCK:
+            _BUILDS.pop(key, None)
+        build.settle("C build interrupted")
+        raise
+    build.settle(entry)
+
+
+def _build(source: str, compiler: str, key: str, traced: bool):
     """Compile and load ``source`` in a private temporary directory,
     removed once the library is loaded (the mapping outlives the file)."""
-    from repro.observe import metrics as om
-    from repro.observe.trace import span
+    from repro.observe.trace import NOOP_SPAN, span
 
-    with span("native_build", key=key[:12], source_bytes=len(source)), \
-            tempfile.TemporaryDirectory(prefix="repro-cgen-") as tmp:
-        c_path, so_path = (os.path.join(tmp, f"plan{suffix}")
-                           for suffix in (".c", ".so"))
-        with open(c_path, "w") as handle:
-            handle.write(source)
+    tmp = tempfile.mkdtemp(prefix="repro-cgen-")
+    with _BUILD_LOCK:
+        _TMPDIRS.add(tmp)
+    try:
+        with (span("native_build", key=key[:12], source_bytes=len(source))
+              if traced else NOOP_SPAN):
+            return _compile_and_load(source, compiler, tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+        with _BUILD_LOCK:
+            _TMPDIRS.discard(tmp)
+
+
+def _compile_and_load(source: str, compiler: str, tmp: str):
+    from repro.observe import metrics as om
+
+    c_path, so_path = (os.path.join(tmp, f"plan{suffix}")
+                       for suffix in (".c", ".so"))
+    with open(c_path, "w") as handle:
+        handle.write(source)
+    try:
+        # A process group of its own, so an exit can kill the compiler
+        # driver together with the cc1/as/ld it runs.
+        process = subprocess.Popen(
+            [compiler, *FLAGS, "-o", so_path, c_path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+    except OSError as exc:
+        return f"C build failed: {exc}"
+    with _BUILD_LOCK:
+        _RUNNING.add(process)
+        closing = _closing
+    try:
+        if closing:
+            _kill(process)
         try:
-            done = subprocess.run([compiler, *FLAGS, "-o", so_path, c_path],
-                                  capture_output=True, text=True, timeout=300)
-        except (OSError, subprocess.SubprocessError) as exc:
+            _, stderr = process.communicate(timeout=300)
+        except subprocess.TimeoutExpired as exc:
+            _kill(process)
+            process.communicate()
             return f"C build failed: {exc}"
-        om.counter("repro_native_builds_total",
-                   "C entry points built by the native target").inc()
-        if done.returncode != 0:
-            first = (done.stderr.strip().splitlines() or ["?"])[0]
-            return f"C build failed: {first}"
-        try:
-            library = ctypes.CDLL(so_path)
-        except OSError as exc:
-            return f"C build failed to load: {exc}"
+    finally:
+        with _BUILD_LOCK:
+            _RUNNING.discard(process)
+    om.counter("repro_native_builds_total",
+               "C entry points built by the native target").inc()
+    if process.returncode != 0:
+        first = (stderr.strip().splitlines() or ["?"])[0]
+        return f"C build failed: {first}"
+    try:
+        library = ctypes.CDLL(so_path)
+    except OSError as exc:
+        return f"C build failed to load: {exc}"
     entry = library.decomine_plan
     entry.restype = ctypes.c_int
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
     entry.argtypes = (pointer, pointer, pointer, pointer, i64, i64, i64, i64,
                       pointer, pointer, i64, pointer, pointer, pointer)
     return entry
+
+
+def _kill(process: subprocess.Popen) -> None:
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except OSError:
+        pass
+
+
+@atexit.register
+def _shutdown() -> None:
+    """At exit, drop queued builds, kill running compilers and remove
+    their temporary directories (builder threads are daemons)."""
+    global _closing
+    with _BUILD_LOCK:
+        _closing = True
+        queued = [_BUILDS.pop(key) for key in _QUEUE]
+        _QUEUE.clear()
+        running, threads = list(_RUNNING), list(_THREADS)
+    for build in queued:
+        build.settle("the process is exiting")
+    for process in running:
+        _kill(process)
+    for thread in threads:
+        thread.join(timeout=10)
+    with _BUILD_LOCK:
+        leftover = list(_TMPDIRS)
+    for tmp in leftover:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _after_fork_in_child() -> None:
+    """A forked child has no builder threads: forget the parent's builds
+    in flight (a resolve in the child builds its own) and its compilers."""
+    global _BUILD_LOCK, _builders
+    _BUILD_LOCK = threading.Lock()
+    for key in [key for key, build in _BUILDS.items()
+                if not build.ready.is_set()]:
+        del _BUILDS[key]
+    _QUEUE.clear()
+    _THREADS.clear()
+    _RUNNING.clear()
+    _TMPDIRS.clear()
+    _builders = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +681,10 @@ static NOINLINE set_t sub(set_t a, set_t b, i64 *out, i64 *st) {
 }
 """,
     "excl": r"""
-static NOINLINE set_t excl(set_t a, const i64 *xs, int m, i64 *out) {
+static NOINLINE set_t excl(set_t a, const i64 *xs, int m, i64 *out,
+                           i64 *st) {
+    if (a.n == 0) return a;
+    st[EX]++;
     int hit = 0;
     for (int t = 0; t < m && !hit; t++) {
         i64 j = lower(a.p, a.n, xs[t]);
@@ -850,7 +1077,7 @@ class _Lowering:
                     return [f"{target} = excl_n({a}, {xs}, st);"]
                 self.helpers.add("excl")
                 bound = self.bounds[a]
-                expr = f"excl({a}, {xs}, {self._buffer(bound)})"
+                expr = f"excl({a}, {xs}, {self._buffer(bound)}, st)"
         else:
             raise _Unsupported(f"set op {op}")
         target = self._define(node.target, "s")

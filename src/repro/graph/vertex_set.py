@@ -25,6 +25,7 @@ import numpy as np
 from repro.runtime.setops import (
     DTYPE,
     EMPTY,
+    STATS,
     intersect,
     intersect_from,
     intersect_size,
@@ -76,6 +77,7 @@ def exclude(a: np.ndarray, *vertices: int) -> np.ndarray:
     """
     if a.size == 0 or not vertices:
         return a
+    STATS.exclude += 1
     mask = None
     for v in vertices:
         idx = int(np.searchsorted(a, v))

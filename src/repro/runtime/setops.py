@@ -108,6 +108,8 @@ class KernelStats(threading.local):
         # target of the codegen executor makes them.
         "intersect_bitmap",
         "subtract_bitmap",
+        # Materialized excludes (graph.vertex_set.exclude, the C excl).
+        "exclude",
     )
 
     def __init__(self) -> None:

@@ -66,6 +66,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
 
+from repro.compiler import cgen
 from repro.compiler.build import COUNT_ACC
 from repro.exceptions import ExecutionError
 from repro.observe.ledger import graph_fingerprint
@@ -896,6 +897,9 @@ class Supervisor:
         queue: dict[int, float] = {i: now for i in pending}  # not-before
         requeue = queue.__setitem__
         inflight: dict[int, tuple] = {}  # index -> (result, started, attempt)
+        # Fork with no C builder thread alive (a multi-threaded fork can
+        # deadlock the child).
+        cgen.wait()
         pool = mp_context.Pool(
             processes=self.workers,
             initializer=engine._set_worker_token,

@@ -5,14 +5,22 @@ Python fallback when no compiler is found or a plan has no C lowering,
 exact big-integer results on ``int64`` overflow, Python's floor
 division, chunk ranges and time slices, cooperative cancellation,
 which sets get a bitmap and where it is cleared, the gallop escape and
-size-only excludes, and the build cache (canonical sources, one build
-per source).
+size-only excludes, the build cache (canonical sources, one build
+per source) and builds started at plan time (prefetch, the fork and
+exit rules).  A wrapper script stands in for the compiler through the
+``find_compiler`` seam, to hold a build in flight or make it fail.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -524,3 +532,300 @@ def test_ledger_row_records_the_target(profiled, tmp_path):
         disable_ledger()
     [record] = Ledger(tmp_path / "ledger.jsonl").runs()
     assert (record.target, record.fallback) == ("c", None)
+
+
+def test_materialized_excludes_are_counted_on_both_targets(tiny_graph,
+                                                           monkeypatch):
+    """An exclude an intersect reads is copied, and counted as
+    ``exclude`` by the C helper and by ``vertex_set.exclude`` alike."""
+    plan = _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        Loop("v2", "s2", [
+            SetOp("s3", "neighbors", ("v2",)),
+            SetOp("s4", "exclude", ("s3", "v1")),
+            SetOp("s5", "intersect", ("s4", "s2")),
+            ScalarOp("c1", "size", ("s5",)),
+            Accumulate(COUNT_ACC, "c1"),
+        ]),
+    ])
+    assert "excl(s" in cgen.resolve(plan).source
+    native = execute_plan(plan, tiny_graph)
+    monkeypatch.setattr(cgen, "find_compiler", lambda: None)
+    python = execute_plan(plan, tiny_graph)
+    assert (native.target, python.target) == ("c", "python")
+    assert native.accumulators == python.accumulators
+    # Every v2 neighbors v1, so each of the 2|E| calls has work to do.
+    for result in (native, python):
+        stats = result.metrics.kernel_stats
+        assert stats["exclude"] == 2 * tiny_graph.num_edges
+
+
+# ----------------------------------------------------------------------
+# Builds started at plan time
+# ----------------------------------------------------------------------
+
+def _blocking_compiler(tmp_path: Path, then: str) -> str:
+    """A compiler that answers ``--version`` as gcc does, appends its pid
+    to ``started``, waits for a ``go`` file and then runs ``then`` (with
+    the real compiler in ``$CC``)."""
+    script = tmp_path / "cc"
+    script.write_text(f"""#!/bin/sh
+CC={cgen.find_compiler()}
+case "$1" in --version) exec "$CC" "$@";; esac
+echo $$ >> {tmp_path}/started
+while [ ! -e {tmp_path}/go ]; do sleep 0.01; done
+{then}
+""")
+    script.chmod(0o755)
+    return str(script)
+
+
+def _await(path: Path, seconds: float = 60.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def fresh_builds(monkeypatch, tmp_path):
+    """An empty build cache; afterwards a stand-in compiler still
+    waiting is released and every builder joined."""
+    cgen.wait()
+    monkeypatch.setattr(cgen, "_BUILDS", {})
+    yield
+    (tmp_path / "go").touch()
+    cgen.wait()
+
+
+def test_a_built_source_resolves_while_another_build_is_blocked(
+        profiled, tmp_path, monkeypatch, fresh_builds):
+    graph, profile = profiled
+    built = cgen.resolve(compile_pattern(catalog.triangle(), profile))
+    assert built.target == "c"
+    compiler = _blocking_compiler(tmp_path, 'exec "$CC" "$@"')
+    monkeypatch.setattr(cgen, "find_compiler", lambda: compiler)
+    blocked = compile_pattern(catalog.house(), profile)
+    cgen.prefetch(blocked)
+    _await(tmp_path / "started")
+    again = []
+    resolver = threading.Thread(target=lambda: again.append(
+        cgen.resolve(compile_pattern(catalog.triangle(), profile))))
+    resolver.start()
+    resolver.join(timeout=30)
+    assert not resolver.is_alive(), "queued behind an unrelated build"
+    assert again[0].entry is built.entry
+    (tmp_path / "go").touch()
+    assert cgen.resolve(blocked).target == "c"
+    assert execute_plan(blocked, graph).embedding_count == \
+        reference.count_embeddings(graph, catalog.house())
+
+
+def test_a_failed_build_falls_back_and_releases_every_waiter(
+        profiled, tmp_path, monkeypatch, fresh_builds):
+    graph, profile = profiled
+    compiler = _blocking_compiler(tmp_path, 'echo "cc: refused" >&2; exit 1')
+    monkeypatch.setattr(cgen, "find_compiler", lambda: compiler)
+    plans = [compile_pattern(catalog.house(), profile) for _ in range(4)]
+    cgen.prefetch(plans[0])
+    _await(tmp_path / "started")
+    targets = []
+    waiters = [threading.Thread(target=lambda plan=plan: targets.append(
+        cgen.resolve(plan))) for plan in plans]
+    for waiter in waiters:
+        waiter.start()
+    (tmp_path / "go").touch()
+    for waiter in waiters:
+        waiter.join(timeout=60)
+    assert not any(waiter.is_alive() for waiter in waiters)
+    assert [(t.target, t.reason) for t in targets] == \
+        [("python", "C build failed: cc: refused")] * 4
+    # One compiler run served them all.
+    assert len((tmp_path / "started").read_text().split()) == 1
+    result = execute_plan(plans[0], graph)
+    assert (result.target, result.fallback) == (
+        "python", "C build failed: cc: refused")
+    assert result.embedding_count == reference.count_embeddings(
+        graph, catalog.house())
+
+
+def test_a_cached_plan_built_at_plan_time_runs_without_a_build(
+        profiled, tmp_path, fresh_builds):
+    from repro import DecoMine, observe
+    from repro.api.messages import MiningRequest
+    from repro.compiler.plancache import PlanCache
+
+    graph, profile = profiled
+    builds = om.counter("repro_native_builds_total", "")
+    before = builds.value
+    DecoMine(graph, profile=profile,
+             plan_cache=PlanCache(tmp_path)).plan_for(catalog.house())
+    cgen.wait()
+    assert builds.value > before
+    fresh = DecoMine(graph, profile=profile, plan_cache=PlanCache(tmp_path))
+    before = builds.value
+    observe.enable()
+    try:
+        response = fresh.submit(MiningRequest(pattern=catalog.house()))
+    finally:
+        trace = observe.disable()
+    assert response.count == reference.count_embeddings(graph,
+                                                        catalog.house())
+    assert trace.find("execute") and trace.find("native_build") == []
+    assert builds.value == before
+
+
+def test_prefetch_does_nothing_without_a_compiler(profiled, monkeypatch,
+                                                  fresh_builds):
+    graph, profile = profiled
+    monkeypatch.setattr(cgen, "find_compiler", lambda: None)
+    plan = compile_pattern(catalog.house(), profile)
+    threads = threading.active_count()
+    cgen.prefetch(plan)
+    assert plan.native is None
+    assert cgen._BUILDS == {} and cgen._QUEUE == {}
+    assert threading.active_count() == threads
+
+
+def test_a_prefetched_plan_forks_its_pool_with_no_builder_alive(
+        profiled, tmp_path, monkeypatch, fresh_builds):
+    """A fork with other threads alive can deadlock the child (Python
+    3.12 warns), so the supervisor joins the builders first: here while
+    another plan's build still has a second to go."""
+    from repro import DecoMine
+
+    graph, profile = profiled
+    threads = threading.active_count()
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    session = DecoMine(graph, profile=profile,
+                       engine=EngineOptions(workers=2))
+    session.plan_for(catalog.house())
+    slow = _blocking_compiler(tmp_path, 'sleep 1; exec "$CC" "$@"')
+    (tmp_path / "go").touch()
+    monkeypatch.setattr(cgen, "find_compiler", lambda: slow)
+    session.plan_for(catalog.diamond())
+    _await(tmp_path / "started")
+    assert threading.active_count() > threads  # a builder is running
+    assert session.get_pattern_count(catalog.house()) == \
+        reference.count_embeddings(graph, catalog.house())
+    assert forks and set(forks) == {threads}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_during_a_build_builds_its_own(
+        profiled, tmp_path, monkeypatch, fresh_builds):
+    """The parent's build in flight has no builder in a forked child:
+    the child forgets it and builds the source itself."""
+    graph, profile = profiled
+    gcc = cgen.find_compiler()
+    compiler = _blocking_compiler(tmp_path, 'exec "$CC" "$@"')
+    monkeypatch.setattr(cgen, "find_compiler", lambda: compiler)
+    cgen.prefetch(compile_pattern(catalog.house(), profile))
+    _await(tmp_path / "started")
+    plan = compile_pattern(catalog.house(), profile)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report the target, never return to pytest
+        try:
+            cgen.find_compiler = lambda: gcc
+            native = cgen.resolve(plan)
+            os.write(write, native.target.encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            break
+        time.sleep(0.01)
+    with os.fdopen(read) as handle:
+        assert handle.read() == "c"
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_an_exit_during_a_build_leaves_no_directory_or_compiler(tmp_path):
+    """The stand-in compiler runs a child, as gcc runs cc1: both go."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    started = tmp_path / "started"
+    compiler = tmp_path / "cc"
+    compiler.write_text(f"""#!/bin/sh
+case "$1" in --version) exec {cgen.find_compiler()} "$@";; esac
+sleep 120 &
+echo $$ $! >> {started}
+wait
+""")
+    compiler.chmod(0o755)
+    script = f"""
+import os, time
+from repro import DecoMine
+from repro.compiler import cgen
+from repro.graph import datasets
+from repro.patterns import catalog
+
+cgen.NATIVE_MIN_COST = 0
+cgen.find_compiler = lambda: {str(compiler)!r}
+DecoMine(datasets.load("mc")).plan_for(catalog.house())
+while not os.path.exists({str(started)!r}):
+    time.sleep(0.01)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "TMPDIR": str(temp),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pids = []
+    try:
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in started.read_text().split()]
+        assert len(pids) == 2 and not any(_alive(pid) for pid in pids)
+        assert list(temp.glob("repro-cgen-*")) == []
+    finally:
+        for pid in pids:
+            if _alive(pid):
+                os.kill(pid, 9)
+
+
+def test_a_batch_builds_only_the_plans_it_runs(profiled, monkeypatch,
+                                               fresh_builds):
+    """The batch compiler consults every term's plan, direct and host,
+    but runs fused ones: none of the consulted plans is built."""
+    from repro import DecoMine
+    from repro.api.messages import MiningRequest
+
+    graph, profile = profiled
+    ran = set()
+    real_run = cgen.run
+
+    def run(plan, native, *args, **kwargs):
+        ran.add(native.source)
+        return real_run(plan, native, *args, **kwargs)
+
+    monkeypatch.setattr(cgen, "run", run)
+    builds = om.counter("repro_native_builds_total", "")
+    before = builds.value
+    patterns = [catalog.house(), catalog.diamond(), catalog.cycle(4)]
+    responses = DecoMine(graph, profile=profile).submit_batch(
+        [MiningRequest(pattern=p, induced=True) for p in patterns])
+    cgen.wait()
+    assert [r.count for r in responses] == [
+        reference.count_embeddings(graph, p, induced=True) for p in patterns]
+    assert ran and builds.value - before == len(ran)
