@@ -156,17 +156,11 @@ class DecoMine:
         options = options if options is not None else self.engine_options
         plan = self._plan_with_provenance(
             pattern, mode, induced, tuple(constraints), options)[0]
-        self._prefetch([plan], options)
-        return plan
-
-    @staticmethod
-    def _prefetch(plans, options: EngineOptions) -> None:
-        """Start the C builds of plans this session is about to run, off
-        their first run's path.  Only plans that will run: the batch
-        compiler also consults plans it never executes."""
+        # Here, not in _plan_with_provenance: the batch compiler also
+        # consults plans it never runs.
         if options.executor == "codegen":
-            for plan in plans:
-                cgen.prefetch(plan)
+            cgen.prefetch(plan)
+        return plan
 
     def _plan_with_provenance(
         self,
@@ -541,9 +535,6 @@ class DecoMine:
         """
         terms, key = self._count_terms(
             request.pattern, request.induced, options, events)
-        # A count of several terms builds them side by side.
-        self._prefetch([plan for *_, plan in terms if plan is not None],
-                       options)
         total, result = 0, None
         for coefficient, pattern, _, plan in terms:
             if plan is None:

@@ -50,15 +50,15 @@ Build cache
     version, flags)``; each key's entry is settled once with the loaded
     function or the failure reason, and holds no plans or graphs.  The
     first caller of a key builds it without holding the cache lock;
-    later callers wait for that build.  At most ``os.cpu_count()``
-    builder threads run queued builds, and each exits once the queue is
-    empty; :func:`wait` joins them (the supervisor calls it before it
-    forks its pool).  Each build goes to a private temporary directory,
-    removed once the library is loaded; at exit, running compilers are
-    killed with their process group and their directories removed.  A
-    plan's resolved :class:`Target` lives on the plan
-    (``CompiledPlan.native``), so fork workers inherit it and never
-    build.
+    later callers wait for that build.  At most one builder thread per
+    usable CPU runs queued builds, and each exits once the queue is
+    empty; :func:`wait` joins them (the supervisor calls it, within the
+    run's deadline, before it forks its pool).  Each build goes to a
+    private temporary directory, removed once the library is loaded; at
+    exit, running compilers are killed with their process group and
+    their directories removed.  A plan's resolved :class:`Target` lives
+    on the plan (``CompiledPlan.native``), so fork workers inherit it
+    and never build.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ import signal
 import subprocess
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -347,6 +348,10 @@ _RUNNING: set[subprocess.Popen] = set()
 _TMPDIRS: set[str] = set()
 _closing = False
 _BUILD_LOCK = threading.Lock()
+#: One builder per CPU this process may run on: more would compete
+#: with the run the builds are meant to overlap.
+_MAX_BUILDERS = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +393,7 @@ def _entry_point(source: str, compiler: str):
 
 def _start(source: str, compiler: str) -> None:
     """Queue a build of ``source`` for a builder thread, starting one
-    when fewer than ``os.cpu_count()`` are taking jobs."""
+    when fewer than ``_MAX_BUILDERS`` are taking jobs."""
     global _builders
     key = _key(source, compiler)
     with _BUILD_LOCK:
@@ -396,7 +401,7 @@ def _start(source: str, compiler: str) -> None:
             return
         _BUILDS[key] = _Build()
         _QUEUE[key] = (source, compiler)
-        if _builders < (os.cpu_count() or 1):
+        if _builders < _MAX_BUILDERS:
             _builders += 1
             thread = threading.Thread(target=_builder, daemon=True,
                                       name="repro-cgen-builder")
@@ -421,17 +426,22 @@ def _builder() -> None:
         _fulfil(build, source, compiler, key, traced=False)
 
 
-def wait() -> None:
+def wait(timeout: float | None = None) -> bool:
     """Block until every queued build has finished and every builder
-    thread has exited (before a fork, and in tests)."""
+    thread has exited (before a fork, and in tests), or until
+    ``timeout`` seconds have passed.  True when no builder is left."""
+    end = None if timeout is None else time.monotonic() + timeout
     while True:
         with _BUILD_LOCK:
             _THREADS[:] = [t for t in _THREADS if t.is_alive()]
             threads = list(_THREADS)
         if not threads:
-            return
+            return True
         for thread in threads:
-            thread.join()
+            left = None if end is None else end - time.monotonic()
+            if left is not None and left <= 0:
+                return False
+            thread.join(left)
 
 
 def _fulfil(build: _Build, source: str, compiler: str, key: str,

@@ -873,8 +873,9 @@ class Supervisor:
         token = engine._register_fork_state(state)
         try:
             while pending:
-                if self._deadline_expired():
-                    self._stop(pending, "deadline")
+                reason = self._await_builders()
+                if reason is not None:
+                    self._stop(pending, reason)
                     return []
                 status, pending = self._pool_epoch(mp_context, token, pending)
                 if status == "done":
@@ -888,6 +889,20 @@ class Supervisor:
                 shared_handle.close()
         return []
 
+    def _await_builders(self) -> str | None:
+        """Wait for the C builder threads to exit before forking the pool
+        (a fork with other threads alive can deadlock the child), but
+        only while the run may go on: the stop reason once the deadline
+        passes or the run is cancelled, else None."""
+        while True:
+            reason = self._token_reason()
+            if reason in ("deadline", "interrupt"):
+                return reason
+            if self._deadline_expired():
+                return "deadline"
+            if cgen.wait(timeout=0.05):
+                return None
+
     def _pool_epoch(self, mp_context, token, pending):
         """One pool lifetime: dispatch until done or a restart is needed."""
         from repro.runtime import engine
@@ -897,9 +912,6 @@ class Supervisor:
         queue: dict[int, float] = {i: now for i in pending}  # not-before
         requeue = queue.__setitem__
         inflight: dict[int, tuple] = {}  # index -> (result, started, attempt)
-        # Fork with no C builder thread alive (a multi-threaded fork can
-        # deadlock the child).
-        cgen.wait()
         pool = mp_context.Pool(
             processes=self.workers,
             initializer=engine._set_worker_token,

@@ -675,6 +675,26 @@ def test_a_cached_plan_built_at_plan_time_runs_without_a_build(
     assert builds.value == before
 
 
+def test_a_plain_submit_builds_inline_under_a_span(profiled, fresh_builds):
+    """Only plan_for starts builds early; a submit with no plan_for
+    before it builds in its own thread, traced."""
+    from repro import DecoMine, observe
+    from repro.api.messages import MiningRequest
+
+    graph, profile = profiled
+    session = DecoMine(graph, profile=profile)
+    threads = threading.active_count()
+    observe.enable()
+    try:
+        response = session.submit(MiningRequest(pattern=catalog.house()))
+    finally:
+        trace = observe.disable()
+    assert response.count == reference.count_embeddings(graph,
+                                                        catalog.house())
+    assert trace.find("native_build")
+    assert threading.active_count() == threads and cgen.wait(timeout=0)
+
+
 def test_prefetch_does_nothing_without_a_compiler(profiled, monkeypatch,
                                                   fresh_builds):
     graph, profile = profiled
@@ -716,6 +736,36 @@ def test_a_prefetched_plan_forks_its_pool_with_no_builder_alive(
     assert session.get_pattern_count(catalog.house()) == \
         reference.count_embeddings(graph, catalog.house())
     assert forks and set(forks) == {threads}
+
+
+def test_a_pool_run_stops_at_its_deadline_while_another_build_is_blocked(
+        profiled, tmp_path, monkeypatch, fresh_builds):
+    """The supervisor waits for the builders before it forks, but no
+    longer than the run's deadline: a wedged build of another plan must
+    not hold the run."""
+    from repro import DecoMine
+    from repro.api.messages import MiningRequest
+
+    graph, profile = profiled
+    session = DecoMine(graph, profile=profile,
+                       engine=EngineOptions(workers=2))
+    session.plan_for(catalog.house())
+    cgen.wait()
+    compiler = _blocking_compiler(tmp_path, 'exec "$CC" "$@"')
+    monkeypatch.setattr(cgen, "find_compiler", lambda: compiler)
+    session.plan_for(catalog.diamond())
+    _await(tmp_path / "started")
+    responses = []
+    runner = threading.Thread(target=lambda: responses.append(session.submit(
+        MiningRequest(pattern=catalog.house(), deadline_s=0.5))))
+    started = time.monotonic()
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "waited past the deadline for a build"
+    assert time.monotonic() - started < 10
+    assert responses[0].count is None
+    assert "deadline" in responses[0].error
+    assert not cgen.wait(timeout=0)  # diamond's build is still blocked
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
