@@ -9,7 +9,11 @@ drives it the way production traffic would:
   against the reference counter);
 * **warm storm** — three concurrent clients each replay the whole
   catalog; every one of the 54 responses must be exact *and* a plan
-  cache hit (100% warm hit rate — profile/compile/search never ran);
+  cache hit (100% warm hit rate — profile/compile/search never ran).
+  Then all three send the catalog once more as one ``submit_batch``,
+  at the same moment, so the daemon's handler threads build and reuse
+  the session's fused censuses concurrently; every batched count must
+  be exact too;
 * **admission burst** — a second daemon with a tiny budget
   (``max_inflight=1, max_pending=0``) takes a synchronized 8-client
   burst, each client submitting a *different* pattern so none can
@@ -27,8 +31,8 @@ Designed as a CI gate::
 
     PYTHONPATH=src python scripts/serve_smoke.py --json serve_smoke.json
 
-Exits nonzero on any count mismatch, a cold-pass cache hit, a warm-pass
-cache miss, zero admission rejections, or a leaked segment/token.
+Exits nonzero on any count mismatch (batched counts included), a
+cold-pass cache hit, a warm-pass cache miss, zero admission rejections, or a leaked segment/token.
 """
 
 from __future__ import annotations
@@ -99,6 +103,19 @@ def run_catalog(socket_path: str, client_id: str, expected: dict,
             }
 
 
+def run_catalog_batch(socket_path: str, client_id: str, expected: dict,
+                      start: threading.Barrier) -> dict:
+    """Submit the whole catalog as one batch once ``start`` releases."""
+    names = sorted(PATTERNS)
+    with Client(socket_path, client_id=client_id) as client:
+        start.wait()
+        responses = client.submit_batch([PATTERNS[name]() for name in names])
+    exact = sum(1 for name, response in zip(names, responses)
+                if response.ok and response.count == expected[name])
+    return {"responses": len(responses), "exact": exact,
+            "ok": len(responses) == len(names) == exact}
+
+
 def run_smoke() -> dict:
     graph = erdos_renyi(16, 0.35, seed=3)
     expected = expected_counts(graph)
@@ -124,14 +141,19 @@ def run_smoke() -> dict:
             # ---- warm storm: concurrent tenants, 100% hit rate ----
             warm: dict = {f"tenant-{i}": {}
                           for i in range(NUM_WARM_CLIENTS)}
+            batches: dict = {}
             errors: list[str] = []
+            batch_start = threading.Barrier(NUM_WARM_CLIENTS, timeout=60)
 
             def tenant(tenant_id: str) -> None:
                 try:
                     run_catalog(socket_path, tenant_id, expected,
                                 warm[tenant_id])
+                    batches[tenant_id] = run_catalog_batch(
+                        socket_path, tenant_id, expected, batch_start)
                 except Exception as exc:
-                    errors.append(f"{tenant_id}: {exc}")
+                    batch_start.abort()
+                    errors.append(f"{tenant_id}: {exc!r}")
 
             threads = [threading.Thread(target=tenant, args=(tid,))
                        for tid in warm]
@@ -146,7 +168,9 @@ def run_smoke() -> dict:
             warm_ok = (not errors
                        and len(responses) == NUM_WARM_CLIENTS * len(PATTERNS)
                        and all(e["exact"] for e in responses)
-                       and hits == len(responses))
+                       and hits == len(responses)
+                       and len(batches) == NUM_WARM_CLIENTS
+                       and all(b["ok"] for b in batches.values()))
             report["warm"] = {
                 "clients": NUM_WARM_CLIENTS,
                 "responses": len(responses),
@@ -154,6 +178,7 @@ def run_smoke() -> dict:
                 "cache_hits": hits,
                 "hit_rate": hits / max(1, len(responses)),
                 "seconds": warm_seconds,
+                "batches": batches,
                 "errors": errors,
                 "ok": warm_ok,
             }
@@ -266,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.json).write_text(text + "\n", encoding="utf-8")
     print(text)
     if not report["ok"]:
-        print("serve smoke FAILED: inexact counts, cache misses on the "
+        print("serve smoke FAILED: inexact (or batched inexact) counts, "
+              "cache misses on the "
               "warm path, no admission rejection, or a leaked "
               "segment/token", file=sys.stderr)
         return 1
@@ -275,6 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         f"serve smoke OK: {len(PATTERNS)} patterns exact cold, "
         f"{warm['responses']} warm responses across {warm['clients']} "
         f"concurrent tenants at {warm['hit_rate']:.0%} cache hit rate, "
+        f"{len(warm['batches'])} concurrent catalog batches exact, "
         f"{report['admission']['rejections']} admission rejections under "
         f"the tiny budget, clean shutdown, no leaked segments or tokens",
         file=sys.stderr,

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from repro.api.messages import MiningRequest, MiningResponse
 from repro.compiler import cgen
-from repro.compiler.batch import compile_batch
+from repro.compiler.batch import FusedMemo, compile_batch
 from repro.compiler.pipeline import CompiledPlan, compile_pattern
 from repro.compiler.plancache import PlanCache, plan_key
 from repro.compiler.search import SearchOptions
@@ -119,6 +119,7 @@ class DecoMine:
         self._profile = profile
         self._profile_seed = profile_seed
         self._plan_cache: dict = {}
+        self._fused_memo = FusedMemo()
 
     # ------------------------------------------------------------------
     # Profiling

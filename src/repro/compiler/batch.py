@@ -31,7 +31,9 @@ the substrate the serve daemon's request coalescing batches into.
    multi-accumulator plan per shared first loop level.  Grouping by the
    level-1 trie signature guarantees the merged tree keeps a *single*
    outer loop — the invariant the chunked executors' ``start``/``stop``
-   slicing relies on (codegen slices only the first outer loop).
+   slicing relies on (codegen slices only the first outer loop).  The
+   session's :class:`FusedMemo` keeps each fused census, so a later
+   batch with the same fusion group compiles nothing.
 
 The resulting :class:`BatchPlan` is a topologically ordered schedule —
 children strictly before consumers — executed by
@@ -42,7 +44,9 @@ eliminated versus running the workload sequentially.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -60,6 +64,7 @@ __all__ = [
     "BatchNode",
     "BatchPlan",
     "BatchQuery",
+    "FusedMemo",
     "MergedCensusSpec",
     "SharingReport",
     "compile_batch",
@@ -212,6 +217,46 @@ class BatchPlan:
         )
 
 
+#: Fused censuses one session keeps.  A daemon serves few fusion groups,
+#: but distinct subsets of its patterns could grow the memo without end.
+FUSED_MEMO_SIZE = 32
+
+
+class FusedMemo:
+    """A session's fused direct censuses, least recently used evicted.
+
+    Keyed by everything :meth:`_BatchBuilder.fuse_direct` reads to build
+    one (the members' specs in group order, and the session facts beside
+    them); the value is the ``(MergedPlan, CompiledPlan)`` pair it built.
+    Reusing the plan object also reuses its ``native`` C target.  Safe
+    to share between threads: two that miss on one key both build, and
+    both go on with the entry stored first.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key, entry):
+        """Store ``entry`` unless ``key`` has one; return the stored one."""
+        with self._lock:
+            entry = self._entries.setdefault(key, entry)
+            self._entries.move_to_end(key)
+            while len(self._entries) > FUSED_MEMO_SIZE:
+                self._entries.popitem(last=False)
+            return entry
+
+
 def _census_key(pattern: Pattern, induced: bool) -> tuple:
     return (canonical_code(pattern), bool(induced))
 
@@ -231,6 +276,8 @@ class _BatchBuilder:
         self.options = options
         self.nodes: dict[tuple, BatchNode] = {}
         self.plans_sequential = 0
+        #: Fusion groups served from the session's :class:`FusedMemo`.
+        self.fused_reused = 0
 
     # ------------------------------------------------------------------
     def ensure_node(self, pattern: Pattern, induced: bool,
@@ -313,8 +360,7 @@ class _BatchBuilder:
         single outer loop (the chunking contract: codegen slices only
         the first outer loop under ``start``/``stop``).
         """
-        from repro.compiler.multi import _level_signature, \
-            choose_sharing_orders
+        from repro.compiler.multi import _level_signature
 
         candidates = [
             node for node in self.nodes.values()
@@ -336,58 +382,32 @@ class _BatchBuilder:
         fused_members = shared_loops = total_loops = 0
         passes = replace(self.session.options.passes, orient="none")
         profile = self.session.profile
+        memo = self.session._fused_memo
         for group in groups.values():
             if len(group) < 2:
                 continue
-            # GEO-style order selection: each member's standalone plan
-            # picked its order for solo cost; re-choose orders (and
-            # restriction sets) to deepen shared trie prefixes, judged
-            # by marginal cost so sharing is never bought with a
-            # degenerate tail.
-            specs = choose_sharing_orders(
-                [node.plan.spec for node in group],
-                num_vertices=profile.num_vertices,
-                avg_degree=profile.avg_degree,
-            )
-            merged = build_merged_direct(specs, passes=passes)
-            top_loops = sum(
-                1 for n in merged.root.body if _is_loop(n)
-            )
-            if top_loops != 1:  # pragma: no cover - grouping guarantees 1
-                continue
-            function, source = compile_root(merged.root)
-            spec = MergedCensusSpec(merged.specs)
             first = group[0]
-            merged_pattern = Pattern(
-                first.pattern.n,
-                sorted(first.pattern.edge_set),
-                labels=(list(first.pattern.labels)
-                        if first.pattern.labels is not None else None),
-                name=f"merged-census-{len(group)}",
+            key = (
+                tuple((node.plan.spec, node.plan.cost) for node in group),
+                first.pattern, first.plan.info, first.plan.model_name,
+                passes, profile.num_vertices, profile.avg_degree,
             )
-            plan = CompiledPlan(
-                pattern=merged_pattern,
-                spec=spec,
-                mode="count",
-                root=merged.root,
-                info=replace(
-                    first.plan.info, spec=spec, divisor=1,
-                ),
-                source=source,
-                function=function,
-                cost=sum(node.plan.cost for node in group),
-                compile_seconds=0.0,
-                model_name=first.plan.model_name,
-                aux_plans=(),
-                orientation="none",
-            )
+            entry = memo.get(key)
+            if entry is None:
+                entry = self._fuse_group(group, passes, profile)
+                if entry is None:  # pragma: no cover - grouping guarantees 1
+                    continue
+                entry = memo.put(key, entry)
+            else:
+                self.fused_reused += 1
+            merged, plan = entry
             members = tuple(
                 (node.key, merged.accumulator_for(i), merged.divisors[i])
                 for i, node in enumerate(group)
             )
             merged_nodes.append(BatchNode(
                 key=("merged", len(merged_nodes)),
-                pattern=merged_pattern,
+                pattern=plan.pattern,
                 kind="merged",
                 plan=plan,
                 members=members,
@@ -404,6 +424,52 @@ class _BatchBuilder:
         ]
         return schedule, fused_members, len(merged_nodes), shared_loops, \
             total_loops
+
+    @staticmethod
+    def _fuse_group(group: list[BatchNode], passes, profile):
+        """Build one fusion group's ``(MergedPlan, CompiledPlan)``, or
+        None when the merged tree does not keep a single outer loop."""
+        from repro.compiler.multi import choose_sharing_orders
+
+        # GEO-style order selection: each member's standalone plan
+        # picked its order for solo cost; re-choose orders (and
+        # restriction sets) to deepen shared trie prefixes, judged
+        # by marginal cost so sharing is never bought with a
+        # degenerate tail.
+        specs = choose_sharing_orders(
+            [node.plan.spec for node in group],
+            num_vertices=profile.num_vertices,
+            avg_degree=profile.avg_degree,
+        )
+        merged = build_merged_direct(specs, passes=passes)
+        top_loops = sum(1 for n in merged.root.body if _is_loop(n))
+        if top_loops != 1:
+            return None
+        function, source = compile_root(merged.root)
+        spec = MergedCensusSpec(merged.specs)
+        first = group[0]
+        merged_pattern = Pattern(
+            first.pattern.n,
+            sorted(first.pattern.edge_set),
+            labels=(list(first.pattern.labels)
+                    if first.pattern.labels is not None else None),
+            name=f"merged-census-{len(group)}",
+        )
+        plan = CompiledPlan(
+            pattern=merged_pattern,
+            spec=spec,
+            mode="count",
+            root=merged.root,
+            info=replace(first.plan.info, spec=spec, divisor=1),
+            source=source,
+            function=function,
+            cost=sum(node.plan.cost for node in group),
+            compile_seconds=0.0,
+            model_name=first.plan.model_name,
+            aux_plans=(),
+            orientation="none",
+        )
+        return merged, plan
 
 
 class _AccountingPlan:
@@ -441,7 +507,7 @@ def compile_batch(
         )
     options = options if options is not None else session.engine_options
     started = time.perf_counter()
-    with span("batch-compile", workload=len(entries)):
+    with span("batch-compile", workload=len(entries)) as traced:
         grouped: dict[tuple, list[int]] = {}
         order: list[tuple] = []
         shapes: dict[tuple, tuple[Pattern, bool]] = {}
@@ -468,6 +534,7 @@ def compile_batch(
             ))
         schedule, fused_members, merged_count, shared_loops, total_loops = \
             builder.fuse_direct()
+        traced.set(fused_reused=builder.fused_reused)
         plans_batched = sum(
             1 for node in schedule if node.kind in ("plan", "merged")
         )

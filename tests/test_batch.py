@@ -11,13 +11,17 @@ fewer plan executions than the sequential baseline.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro import observe
 from repro.api.messages import MiningRequest
 from repro.api.session import DecoMine
 from repro.baselines import reference
-from repro.compiler.batch import compile_batch
+from repro.compiler import batch, cgen, multi
+from repro.compiler.batch import MergedCensusSpec, compile_batch
 from repro.compiler.codegen import compile_root
 from repro.compiler.multi import build_merged_direct
 from repro.compiler.specs import DirectSpec
@@ -423,3 +427,208 @@ class TestSharingOrderSelection:
                                        avg_degree=12.0)
         assert [(s.order, s.restrictions) for s in second] == \
             [(s.order, s.restrictions) for s in first]
+
+
+#: One fusion group on ``graph`` (the 4-chain itself stays decomposed).
+ONE_GROUP = [(catalog.chain(4), False), (catalog.star(4), False),
+             (catalog.cycle(4), False), (catalog.chain(3), False),
+             (catalog.triangle(), False), (catalog.diamond(), False)]
+#: Two fusion groups on ``graph``: edge-induced 4-vertex censuses and
+#: vertex-induced 5-vertex ones.  The second workload shares the first
+#: group and differs in the second.
+TWO_GROUPS = [(catalog.chain(4), False), (catalog.star(4), False),
+              (catalog.cycle(4), False), (catalog.house(), True),
+              (catalog.cycle(5), True), (catalog.gem(), True)]
+OTHER_SECOND_GROUP = TWO_GROUPS[:4] + [(catalog.bowtie(), True)]
+
+
+def _relabeled(pattern):
+    """``pattern`` with its vertex ids reversed: isomorphic, not equal."""
+    last = pattern.n - 1
+    return Pattern(pattern.n, [(last - a, last - b)
+                               for a, b in pattern.edges()],
+                   name=f"{pattern.name}-rev")
+
+
+class TestFusedMemo:
+    """A session keeps each fused census; a warm batch builds none, and
+    its counts and sharing report equal a fresh session's."""
+
+    @staticmethod
+    def _batch(session, workload):
+        responses = session.submit_batch([
+            MiningRequest(pattern=pattern, induced=induced)
+            for pattern, induced in workload
+        ])
+        assert all(response.ok for response in responses)
+        return ([response.count for response in responses],
+                responses[0].metrics["sharing"])
+
+    def _fresh(self, graph, workload, engine=None):
+        return self._batch(DecoMine(graph, engine=engine), workload)
+
+    @staticmethod
+    def _count_sharing_orders(monkeypatch):
+        calls = []
+        original = multi.choose_sharing_orders
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(multi, "choose_sharing_orders", counted)
+        return calls
+
+    def test_warm_batches_choose_orders_once(self, graph, monkeypatch):
+        expected = self._fresh(graph, ONE_GROUP)
+        assert expected[1]["merged_nodes"] == 1
+        calls = self._count_sharing_orders(monkeypatch)
+        session = DecoMine(graph)
+        assert self._batch(session, ONE_GROUP) == expected
+        assert self._batch(session, ONE_GROUP) == expected
+        assert len(calls) == 1
+        assert len(session._fused_memo) == 1
+
+    def test_reordered_or_relabeled_workloads_stay_exact(self, graph):
+        session = DecoMine(graph)
+        self._batch(session, TWO_GROUPS)
+        relabeled = list(TWO_GROUPS)
+        relabeled[1] = (_relabeled(TWO_GROUPS[1][0]), False)
+        relabeled[4] = (_relabeled(TWO_GROUPS[4][0]), True)
+        for workload in (TWO_GROUPS[::-1], relabeled, TWO_GROUPS):
+            assert self._batch(session, workload) == \
+                self._fresh(graph, workload)
+        assert self._batch(session, relabeled)[0] == [
+            reference.count_embeddings(graph, pattern, induced=induced)
+            for pattern, induced in relabeled
+        ]
+
+    def test_a_shared_group_is_reused_across_workloads(self, graph,
+                                                       monkeypatch):
+        expected = [self._fresh(graph, workload)
+                    for workload in (TWO_GROUPS, OTHER_SECOND_GROUP)]
+        assert [e[1]["merged_nodes"] for e in expected] == [2, 2]
+        calls = self._count_sharing_orders(monkeypatch)
+        session = DecoMine(graph)
+        assert self._batch(session, TWO_GROUPS) == expected[0]
+        assert len(calls) == 2
+        assert self._batch(session, OTHER_SECOND_GROUP) == expected[1]
+        assert len(calls) == 3  # only the group that differs
+        assert self._batch(session, TWO_GROUPS) == expected[0]
+        assert len(calls) == 3
+
+    def test_the_oldest_entry_is_evicted_past_the_bound(self, graph,
+                                                        monkeypatch):
+        monkeypatch.setattr(batch, "FUSED_MEMO_SIZE", 2)
+        workloads = [ONE_GROUP, TWO_GROUPS[3:], OTHER_SECOND_GROUP[3:]]
+        expected = [self._fresh(graph, workload) for workload in workloads]
+        assert [e[1]["merged_nodes"] for e in expected] == [1, 1, 1]
+        calls = self._count_sharing_orders(monkeypatch)
+        session = DecoMine(graph)
+        for workload, want in zip(workloads, expected):
+            assert self._batch(session, workload) == want
+        assert len(calls) == 3 and len(session._fused_memo) == 2
+        # The newest two hit; the oldest was evicted and builds again.
+        assert self._batch(session, workloads[2]) == expected[2]
+        assert self._batch(session, workloads[1]) == expected[1]
+        assert len(calls) == 3
+        assert self._batch(session, workloads[0]) == expected[0]
+        assert len(calls) == 4 and len(session._fused_memo) == 2
+
+    def test_concurrent_batches_on_one_session_stay_exact(self, graph):
+        """More client threads than cores, switching often, all missing
+        the empty memo together: every count stays exact and the memo
+        keeps one entry per group."""
+        expected = self._fresh(graph, TWO_GROUPS)
+        session = DecoMine(graph)
+        clients = 4
+        start = threading.Barrier(clients, timeout=60)
+        results, errors = [], []
+
+        def client() -> None:
+            try:
+                start.wait()
+                for _ in range(3):
+                    results.append(self._batch(session, TWO_GROUPS))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * (3 * clients)
+        assert len(session._fused_memo) == 2
+
+    def test_memo_stays_bounded_under_concurrent_puts(self, monkeypatch):
+        monkeypatch.setattr(batch, "FUSED_MEMO_SIZE", 4)
+        memo = batch.FusedMemo()
+        errors = []
+
+        def fill(offset: int) -> None:
+            try:
+                for key in range(offset, offset + 500):
+                    memo.put(key, key)
+                    memo.get(key - 1)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fill, args=(1000 * i,))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(memo) == 4
+
+    @pytest.mark.skipif(cgen.find_compiler() is None,
+                        reason="no C compiler on this host")
+    def test_codegen_warm_batch_reuses_the_built_census(self, graph,
+                                                        monkeypatch):
+        engine = EngineOptions(executor="codegen")
+        monkeypatch.setattr(cgen, "NATIVE_MIN_COST", 0)
+        expected = self._fresh(graph, ONE_GROUP, engine)
+        cgen.wait()
+        monkeypatch.setattr(cgen, "_BUILDS", {})
+        lowered = []
+        original = cgen._lower
+
+        def counted(plan):
+            lowered.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(cgen, "_lower", counted)
+        session = DecoMine(graph, engine=engine)
+        traces, merged = [], []
+        for _ in range(2):
+            observe.enable()
+            try:
+                assert self._batch(session, ONE_GROUP) == expected
+            finally:
+                traces.append(observe.disable())
+            merged.append([plan for plan in lowered
+                           if isinstance(plan.spec, MergedCensusSpec)])
+            lowered.clear()
+        [compiled] = traces[0].find("batch-compile")
+        assert compiled.attrs["fused_reused"] == 0
+        assert len(merged[0]) == 1 and traces[0].find("native_build")
+        # The warm batch lowers no fused census and builds nothing.  (The
+        # 4-chain's node is a fresh aux-stripped copy of its plan each
+        # batch, so that lowering is not kept.)
+        [compiled] = traces[1].find("batch-compile")
+        assert compiled.attrs["fused_reused"] == 1
+        assert merged[1] == [] and traces[1].find("native_build") == []
