@@ -120,6 +120,8 @@ class DecoMine:
         self._profile_seed = profile_seed
         self._plan_cache: dict = {}
         self._fused_memo = FusedMemo()
+        #: Batch nodes' aux-stripped plan copies: id(plan) -> (plan, copy).
+        self._stripped_plans: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Profiling
@@ -471,6 +473,14 @@ class DecoMine:
             batch_plan, self.graph, options=options, policy=policy,
         )
         seconds = time.perf_counter() - started
+        budget = policy.budget if policy is not None else None
+        if options.executor == "codegen" and (
+                budget is None or budget.deadline_s is None):
+            # A fused member's own C build, started by plan_for, would
+            # otherwise outlive the batch and stall the next single count;
+            # a batch under a deadline does not wait for it.
+            for plan in batch_plan.term_plans:
+                cgen.join(plan)
         sharing = result.sharing.as_dict()
         query_of: dict[int, object] = {}
         for query in batch_plan.queries:

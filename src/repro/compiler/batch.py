@@ -201,6 +201,8 @@ class BatchPlan:
     schedule: tuple[BatchNode, ...]
     sharing: SharingReport
     compile_seconds: float = 0.0
+    #: Every query term's own plan, aux plans kept (fused or not).
+    term_plans: tuple[CompiledPlan, ...] = ()
 
     @property
     def num_workload(self) -> int:
@@ -276,6 +278,7 @@ class _BatchBuilder:
         self.options = options
         self.nodes: dict[tuple, BatchNode] = {}
         self.plans_sequential = 0
+        self.term_plans: list[CompiledPlan] = []
         #: Fusion groups served from the session's :class:`FusedMemo`.
         self.fused_reused = 0
 
@@ -296,7 +299,14 @@ class _BatchBuilder:
             # multiplier * aux_divisor == automorphism_count(quotient),
             # so weight * child_embeddings reproduces the correction.
             deps.append((child_key, multiplier * aux_plan.info.divisor))
-        stripped = replace(plan, aux_plans=()) if plan.aux_plans else plan
+        stripped = plan
+        if plan.aux_plans:
+            # One stripped copy per plan per session, so the C lowering
+            # kept on its ``native`` serves every later batch.  The entry
+            # holds the plan, so its id is not reused while it lives.
+            kept = self.session._stripped_plans
+            stripped = (kept.get(id(plan)) or kept.setdefault(
+                id(plan), (plan, replace(plan, aux_plans=()))))[1]
         self.nodes[key] = BatchNode(
             key=key,
             pattern=pattern,
@@ -325,6 +335,7 @@ class _BatchBuilder:
                 self.nodes.setdefault(key, BatchNode(
                     key=key, pattern=term_pattern, kind="trivial"))
             else:
+                self.term_plans.append(plan)
                 key = self.ensure_node(term_pattern, term_induced, plan)
                 self.plans_sequential += len(members) * _plan_executions(
                     self._node_plan_for_accounting(key)
@@ -555,4 +566,5 @@ def compile_batch(
         schedule=tuple(schedule),
         sharing=sharing,
         compile_seconds=elapsed,
+        term_plans=tuple(builder.term_plans),
     )

@@ -26,6 +26,25 @@ Lowering
     order of first appearance, so the source depends only on the AST,
     and a helper is emitted only when the plan calls it.
 
+    Before lowering, :class:`_Facts` reads what the loop nest proves: a
+    loop variable belongs to its source and to every set the source
+    derives from; ``v`` in ``neighbors(u)`` puts ``u`` in
+    ``neighbors(v)`` (never through an ``oriented`` row); the trims,
+    the bounded forms and ``oriented`` order their members against
+    their bound, transitively.  Three rewrites use the facts:
+
+    (a) a sized ``exclude`` drops the xs known to be members, less
+        their distinct count (a fact, or else a compare); the rest go
+        through ``excl_n``, and all of them do when a member may equal
+        one of the rest;
+    (b) a counting nest (``c = const``, then a loop that only defines
+        names and accumulates into ``c``) that equals, up to renaming
+        and reading the same outside names, one that ran earlier in its
+        block or an enclosing one takes that nest's scalar;
+    (c) a trim whose only use is a tighter trim in the same direction,
+        in the same block, is dropped, and the tighter trim is applied
+        first, before any bitmap filter or merge.
+
 When to build
     Only plans whose predicted cost reaches :data:`NATIVE_MIN_COST`,
     scaled up for loop nests larger than :data:`NATIVE_BODY_BYTES`: a
@@ -35,7 +54,10 @@ When to build
     compiler is found; :func:`resolve` says why.  A build starts when
     the session hands out the plan (:func:`prefetch`, on builder
     threads), so it overlaps whatever runs next; a run whose build is
-    still in flight waits for it.
+    still in flight waits for it.  A batch runs a fused census, not its
+    direct members' own plans, so ``submit_batch`` then joins the
+    builds already started for its term plans (:func:`join`): a single
+    count after it does not wait for ``gcc``.
 
 Safety
     The C loop reads the run's cancel-token byte on every outer
@@ -92,6 +114,7 @@ from repro.compiler.ast_nodes import (
     ScalarOp,
     SetOp,
     child_blocks,
+    node_def,
     node_uses,
     walk,
 )
@@ -103,6 +126,7 @@ __all__ = [
     "SLICE_NS",
     "Target",
     "find_compiler",
+    "join",
     "prefetch",
     "resolve",
     "run",
@@ -221,6 +245,26 @@ def prefetch(plan) -> None:
         native = each.native = _lower(each)
         if native.target == "c":
             _start(native.source, compiler)
+
+
+def join(plan) -> None:
+    """Wait for the builds :func:`prefetch` started for ``plan`` and its
+    aux plans, keeping each entry point on its plan.  A build no one
+    started is not begun."""
+    compiler = find_compiler()
+    if compiler is None:
+        return
+    pending = [plan]
+    while pending:
+        each = pending.pop()
+        pending += [aux for aux, _ in each.aux_plans]
+        native = each.native
+        if native is None or native.target != "c" or native.entry is not None:
+            continue
+        with _BUILD_LOCK:
+            started = _key(native.source, compiler) in _BUILDS
+        if started:
+            resolve(each)
 
 
 def _lower(plan) -> Target:
@@ -814,38 +858,260 @@ _PROBES = {op: (0, 1) if op.startswith("intersect") else (1,)
            for op in _MERGES}
 
 
-def _scan(root: Root) -> tuple[set[str], set[str]]:
-    """The sets that get a bitmap, and the excludes that are only counted.
+#: Set ops whose members all belong to the operands at these positions.
+_SUBSET_OF = {
+    "copy": (0,), "trim_below": (0,), "trim_above": (0,), "exclude": (0,),
+    "intersect": (0, 1), "intersect_upto": (0, 1), "intersect_from": (0, 1),
+    "subtract": (0,), "subtract_upto": (0,), "subtract_from": (0,),
+}
 
-    A set gets a bitmap when it is defined inside a loop and a deeper
-    loop reads it through :data:`_PROBES`; an ``exclude`` is only
-    counted when every use of it is a ``size``.
+#: Set ops whose members lie above (+1) or below (-1) their last argument.
+_TRIMS = {"trim_above": 1, "intersect_from": 1, "subtract_from": 1,
+          "trim_below": -1, "intersect_upto": -1, "subtract_upto": -1}
+
+
+class _Facts:
+    """What the AST proves, read once before lowering.
+
+    Names are single-assignment, so a fact about a name holds wherever
+    the name is in scope.
+
+    ``marked``
+        Sets that get a bitmap: defined inside a loop, and read by a
+        deeper loop through :data:`_PROBES`.
+    ``counted``
+        Excludes whose every use is a ``size``.
+    ``folds``
+        Trims that lower as the tighter trim alone (rewrite c), by
+        target; ``dropped`` holds the looser trims they replace.
+    ``nests``
+        Counting nests, by ``id`` of their loop: ``(scalar, key)``,
+        equal keys computing equal scalars (rewrite b).
+
+    :meth:`member`, :meth:`less` and :meth:`distinct` answer from the
+    facts the module docstring lists; the symmetric and the distinctness
+    facts rest on the CSR being symmetric and simple.
     """
-    depths: dict[str, int] = {}
-    marked: set[str] = set()
-    uses: dict[str, list[Node]] = {}
 
-    def visit(block: list[Node], depth: int) -> None:
-        for node in block:
-            for name in node_uses(node):
-                uses.setdefault(name, []).append(node)
-            if isinstance(node, SetOp):
-                depths[node.target] = depth
-                marked.update(
-                    node.args[k] for k in _PROBES.get(node.op, ())
-                    if 1 <= depths.get(node.args[k], depth) < depth)
-            for child in child_blocks(node):
-                visit(child, depth + isinstance(node, Loop))
+    def __init__(self, root: Root) -> None:
+        self.defs: dict[str, SetOp] = {}
+        self.uses: dict[str, list[Node]] = {}
+        self.marked: set[str] = set()
+        #: Per loop variable: the sets it is known to belong to.
+        self.within: dict[str, set[str]] = {}
+        #: Per accumulated name: how many ``Accumulate`` nodes add to it.
+        self.accumulated: dict[str, int] = {}
+        depths: dict[str, int] = {}
 
-    visit(root.body, 0)
-    counted = {
-        node.target for node in walk(root)
-        if isinstance(node, SetOp) and node.op == "exclude"
-        and len(node.args) > 1
-        and all(isinstance(use, ScalarOp) and use.op == "size"
-                for use in uses.get(node.target, ()))
-    }
-    return marked, counted
+        def visit(block: list[Node], depth: int) -> None:
+            for node in block:
+                for name in node_uses(node):
+                    self.uses.setdefault(name, []).append(node)
+                if isinstance(node, SetOp):
+                    self.defs[node.target] = node
+                    depths[node.target] = depth
+                    self.marked.update(
+                        node.args[k] for k in _PROBES.get(node.op, ())
+                        if 1 <= depths.get(node.args[k], depth) < depth)
+                elif isinstance(node, Loop):
+                    # Every set the source derives from is defined by now.
+                    self.within[node.var] = self._supersets(node.source)
+                elif isinstance(node, Accumulate):
+                    self.accumulated[node.target] = (
+                        self.accumulated.get(node.target, 0) + 1)
+                for child in child_blocks(node):
+                    visit(child, depth + isinstance(node, Loop))
+
+        visit(root.body, 0)
+        self.counted = {
+            node.target for node in self.defs.values()
+            if node.op == "exclude" and len(node.args) > 1
+            and all(isinstance(use, ScalarOp) and use.op == "size"
+                    for use in self.uses.get(node.target, ()))
+        }
+        #: a -> the names known to be greater than a.
+        self.greater: dict[str, set[str]] = {}
+        #: u -> the loop variables known to be in ``neighbors(u)``.
+        self.adjacent: dict[str, set[str]] = {}
+        #: Pairs known to differ: adjacent, or one excluded from the
+        #: other's source.
+        self.apart: set[frozenset] = set()
+        for var, sets in self.within.items():
+            for name in sets:
+                node = self.defs.get(name)
+                if node is None:
+                    continue
+                op, args = node.op, node.args
+                bound = args[-1] if args else None
+                if op in _TRIMS and isinstance(bound, str):
+                    low, high = (bound, var) if _TRIMS[op] > 0 else (var, bound)
+                    self.greater.setdefault(low, set()).add(high)
+                if op in ("neighbors", "oriented"):
+                    self.apart.add(frozenset((var, bound)))
+                if op == "oriented":
+                    self.greater.setdefault(bound, set()).add(var)
+                if op == "neighbors":
+                    self.adjacent.setdefault(bound, set()).add(var)
+                if op == "exclude":
+                    self.apart.update(frozenset((var, x)) for x in args[1:])
+        self.folds, self.dropped = self._fold_trims(root)
+        self.nests = self._counting_nests(root)
+
+    def _supersets(self, name: str) -> set[str]:
+        found, todo = set(), [name]
+        while todo:
+            name = todo.pop()
+            if name not in found:
+                found.add(name)
+                node = self.defs.get(name)
+                if node is not None:
+                    todo += [node.args[k] for k in _SUBSET_OF.get(node.op, ())]
+        return found
+
+    def less(self, a, b) -> bool:
+        """Whether ``a < b`` is known (the order facts, transitively)."""
+        seen, todo = set(), [a]
+        while todo:
+            for high in self.greater.get(todo.pop(), ()):
+                if high == b:
+                    return True
+                if high not in seen:
+                    seen.add(high)
+                    todo.append(high)
+        return False
+
+    def distinct(self, a, b) -> bool:
+        """Whether ``a != b`` is known."""
+        if a == b:
+            return False
+        if isinstance(a, int) and isinstance(b, int):
+            return True
+        return (self.less(a, b) or self.less(b, a)
+                or frozenset((a, b)) in self.apart)
+
+    def member(self, x, name: str) -> bool:
+        """Whether vertex ``x`` is known to belong to set ``name``."""
+        if x not in self.within:
+            return False
+        if name in self.within[x]:
+            return True
+        node = self.defs.get(name)
+        if node is None:
+            return False
+        op, args = node.op, node.args
+        if op == "neighbors":
+            # x in N(u) when u in N(x); never read off an oriented row.
+            return args[0] in self.adjacent.get(x, ())
+        if op not in _SUBSET_OF or op.startswith("subtract"):
+            return False
+        direction = _TRIMS.get(op)
+        return (all(self.member(x, args[k]) for k in _SUBSET_OF[op])
+                and (direction is None
+                     or self.less(*((args[-1], x) if direction > 0
+                                    else (x, args[-1]))))
+                and (op != "exclude"
+                     or all(self.distinct(x, y) for y in args[1:])))
+
+    def _tighter(self, direction: int, loose, tight) -> bool:
+        return loose == tight or (self.less(loose, tight) if direction > 0
+                                  else self.less(tight, loose))
+
+    def _fold_trims(self, root: Root) -> tuple[dict[str, SetOp], set[str]]:
+        """Rewrite (c): a trim whose only use is a tighter trim in the
+        same direction, in the same block, is dropped, and the tighter
+        trim lowers as the dropped op bounded by its own bound."""
+        folds: dict[str, SetOp] = {}
+        dropped: set[str] = set()
+        for block in (block for node in walk(root)
+                      for block in child_blocks(node)):
+            trims: dict[str, SetOp] = {}
+            for node in block:
+                if not isinstance(node, SetOp) or node.op not in _TRIMS:
+                    continue
+                inner = trims.get(node.args[0])
+                if (node.op.startswith("trim") and inner is not None
+                        and _TRIMS[inner.op] == _TRIMS[node.op]
+                        and len(self.uses[inner.target]) == 1
+                        and self._tighter(_TRIMS[node.op], inner.args[-1],
+                                          node.args[1])):
+                    node = folds[node.target] = SetOp(
+                        node.target, inner.op, (*inner.args[:-1], node.args[1]))
+                    dropped.add(inner.target)
+                trims[node.target] = node
+        return folds, dropped
+
+    def _counting_nests(self, root: Root) -> dict[int, tuple[str, tuple]]:
+        """Rewrite (b): loops that only define names and accumulate into
+        one local scalar ``c``, set to a constant earlier in the same
+        block, with every ``Accumulate`` into ``c`` inside them and no
+        mutable name read from outside.  The key is the constant and
+        the loop with its own names renamed in order of definition, free
+        names kept."""
+        mutable = set(self.accumulated) | set(root.accumulators)
+        nests = {}
+        for block in (block for node in walk(root)
+                      for block in child_blocks(node)):
+            # Set in this block, so each loop below starts from the const.
+            consts: dict[str, int] = {}
+            for loop in block:
+                if (isinstance(loop, ScalarOp) and loop.op == "const"
+                        and isinstance(loop.args[0], int)):
+                    consts[loop.target] = loop.args[0]
+                if not isinstance(loop, Loop):
+                    continue
+                inside = [node for node in walk(loop)
+                          if isinstance(node, Accumulate)]
+                defined = {node_def(node) for node in walk(loop)}
+                outside = {node.target for node in inside} - defined
+                if len(outside) != 1:
+                    continue
+                [scalar] = outside
+                if (scalar not in consts or scalar in root.accumulators
+                        or self.accumulated[scalar] != sum(
+                            node.target == scalar for node in inside)):
+                    continue
+                free: set[str] = set()
+                shape = _alpha(loop, {scalar: "#c"}, free)
+                if shape is not None and not free & mutable:
+                    nests[id(loop)] = (scalar, (consts[scalar], shape))
+        return nests
+
+
+def _alpha(node: Node, local: dict[str, str], free: set[str]):
+    """``node`` as nested tuples, with the names it defines renamed in
+    order of definition and the names it reads from outside (added to
+    ``free``) kept; None when it does more than define names and
+    accumulate into them."""
+
+    def ref(arg):
+        if not isinstance(arg, str):
+            return arg
+        if arg not in local:
+            free.add(arg)
+        return local.get(arg, arg)
+
+    def block(nodes):
+        shapes = tuple(_alpha(child, local, free) for child in nodes)
+        return None if None in shapes else shapes
+
+    kind = type(node).__name__
+    if isinstance(node, (SetOp, ScalarOp)):
+        shape = (kind, node.op, tuple(map(ref, node.args)))
+        local[node.target] = f"#{len(local)}"
+        return shape
+    if isinstance(node, Accumulate):
+        target = local.get(node.target)
+        return None if target is None else (kind, target, ref(node.value))
+    if isinstance(node, Loop):
+        source = ref(node.source)
+        local[node.var] = f"#{len(local)}"
+        body = block(node.body)
+        return None if body is None else (kind, source, body)
+    if isinstance(node, IfPositive):
+        scalar = ref(node.scalar)
+        body = block(node.body)
+        return None if body is None else (kind, scalar, body)
+    return None
 
 
 class _Lowering:
@@ -875,12 +1141,15 @@ class _Lowering:
         self.uses_split = False
         self.acc = {name: f"acc[{k}]"
                     for k, name in enumerate(root.accumulators)}
-        self.marked, self.counted = _scan(root)
+        self.facts = _Facts(root)
+        self.marked, self.counted = self.facts.marked, self.facts.counted
         self.bitmaps: list[str] = []
         #: Sets whose bitmap holds their members: (bitmap, loop depth).
         self.live: dict[str, tuple[str, int]] = {}
         #: Per open block, the bitmaps set in it (cleared at its end).
         self.scopes: list[list[str]] = []
+        #: Per open block, the counting nests run in it: key -> scalar.
+        self.done: list[dict[tuple, str]] = []
         self.loop_depth = 0
         self.lines: list[str] = []
         self._lower_body(root.body)
@@ -1003,8 +1272,10 @@ class _Lowering:
         at its end, where the set is still assigned (an ``IfPositive``
         body may not run at all)."""
         self.scopes.append([])
+        self.done.append({})
         for node in nodes:
             self._statement(node, depth)
+        self.done.pop()
         pad = "    " * depth
         for name in reversed(self.scopes.pop()):
             bitmap, _ = self.live.pop(name)
@@ -1019,10 +1290,21 @@ class _Lowering:
     def _statement(self, node: Node, depth: int) -> None:
         pad = "    " * depth
         if isinstance(node, SetOp):
+            if node.target in self.facts.dropped:
+                return
+            node = self.facts.folds.get(node.target, node)
             self.lines += [f"{pad}{line}" for line in self._set_op(node)]
         elif isinstance(node, ScalarOp):
             self.lines.append(f"{pad}{self._scalar_op(node)}")
         elif isinstance(node, Loop):
+            scalar, key = self.facts.nests.get(id(node), (None, None))
+            # An equal nest that ran earlier in this block or an
+            # enclosing one already holds the scalar this loop sums.
+            earlier = next((done[key] for done in reversed(self.done)
+                            if key in done), None)
+            if earlier is not None:
+                self.lines.append(f"{pad}{self._ref(scalar)} = {earlier};")
+                return
             source = self._set(node.source)
             index = self._fresh("i")
             var = self._define(node.var, "v")
@@ -1032,6 +1314,8 @@ class _Lowering:
             ]
             self._loop_body(node.body, depth + 1)
             self.lines.append(f"{pad}}}")
+            if scalar is not None:
+                self.done[-1][key] = self._ref(scalar)
         elif isinstance(node, Accumulate):
             target = self.acc.get(node.target) or self._ref(node.target)
             if not (target.startswith("acc") or target.startswith("c")):
@@ -1079,12 +1363,11 @@ class _Lowering:
             if len(args) == 1:
                 expr, bound = a, self.bounds[a]
             else:
+                if node.target in self.counted:
+                    target = self._define(node.target, "c")
+                    return [f"{target} = {self._exclude_size(args)};"]
                 xs = (f"(const i64[]){{{', '.join(map(self._ref, args[1:]))}}}"
                       f", {len(args) - 1}")
-                if node.target in self.counted:
-                    self.helpers.add("excl_n")
-                    target = self._define(node.target, "c")
-                    return [f"{target} = excl_n({a}, {xs}, st);"]
                 self.helpers.add("excl")
                 bound = self.bounds[a]
                 expr = f"excl({a}, {xs}, {self._buffer(bound)}, st)"
@@ -1101,6 +1384,40 @@ class _Lowering:
             self.scopes[-1].append(node.target)
             lines.append(f"bm_mark({target}, {bitmap}, 1);")
         return lines
+
+    def _exclude_size(self, args) -> str:
+        """``|a - xs|`` for ``exclude(a, *xs)`` (rewrite a).
+
+        The xs known to be in ``a`` are subtracted arithmetically: their
+        distinct count, from facts where the facts tell and from compares
+        where they do not.  The rest go through ``excl_n``, unless one of
+        them may equal a known member, which then goes too.
+        """
+        facts, a = self.facts, args[0]
+        xs = list(dict.fromkeys(args[1:]))  # one name, one value
+        known = [x for x in xs if facts.member(x, a)]
+        rest = [x for x in xs if x not in known]
+        if not all(facts.distinct(x, y) for x in known for y in rest):
+            known, rest = [], xs
+        size = f"{self._set(a)}.n"
+        if rest:
+            self.helpers.add("excl_n")
+            size = (f"excl_n({self._set(a)}, (const i64[]){{"
+                    f"{', '.join(map(self._ref, rest))}}}, {len(rest)}, st)")
+        if not known:
+            return size
+        certain, compares = 0, []
+        for k, x in enumerate(known):
+            unsure = [f"{self._ref(x)} != {self._ref(y)}" for y in known[:k]
+                      if not facts.distinct(x, y)]
+            if unsure:
+                compares.append(f"({' && '.join(unsure)})")
+            else:
+                certain += 1
+        # The first member is never unsure, so certain >= 1.
+        if not compares:
+            return f"{size} - {certain}"
+        return f"{size} - ({' + '.join([str(certain), *compares])})"
 
     def _merge(self, node: SetOp) -> tuple[str, str]:
         """An intersect or subtract: its value and bound.

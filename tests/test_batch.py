@@ -613,22 +613,81 @@ class TestFusedMemo:
 
         monkeypatch.setattr(cgen, "_lower", counted)
         session = DecoMine(graph, engine=engine)
-        traces, merged = [], []
+        traces, batches = [], []
         for _ in range(2):
             observe.enable()
             try:
                 assert self._batch(session, ONE_GROUP) == expected
             finally:
                 traces.append(observe.disable())
-            merged.append([plan for plan in lowered
-                           if isinstance(plan.spec, MergedCensusSpec)])
+            batches.append(list(lowered))
             lowered.clear()
         [compiled] = traces[0].find("batch-compile")
         assert compiled.attrs["fused_reused"] == 0
-        assert len(merged[0]) == 1 and traces[0].find("native_build")
-        # The warm batch lowers no fused census and builds nothing.  (The
-        # 4-chain's node is a fresh aux-stripped copy of its plan each
-        # batch, so that lowering is not kept.)
+        assert [isinstance(plan.spec, MergedCensusSpec)
+                for plan in batches[0]].count(True) == 1
+        assert traces[0].find("native_build")
+        # The warm batch lowers nothing and builds nothing.
         [compiled] = traces[1].find("batch-compile")
         assert compiled.attrs["fused_reused"] == 1
-        assert merged[1] == [] and traces[1].find("native_build") == []
+        assert batches[1] == [] and traces[1].find("native_build") == []
+
+
+class TestBatchJoinsPrefetchedBuilds:
+    """Under ``codegen`` a batch returns with the C builds ``plan_for``
+    started for its term plans settled, so a single count after it does
+    not wait for one; under a deadline it leaves them in flight."""
+
+    @staticmethod
+    def _c_plans(plans):
+        """Every plan and aux plan below ``plans`` with a C lowering."""
+        pending, found = list(plans), []
+        while pending:
+            plan = pending.pop()
+            pending += [aux for aux, _ in plan.aux_plans]
+            if plan.native is not None and plan.native.target == "c":
+                found.append(plan)
+        return found
+
+    def _planned(self, graph, monkeypatch):
+        engine = EngineOptions(executor="codegen")
+        monkeypatch.setattr(cgen, "NATIVE_MIN_COST", 0)
+        cgen.wait()
+        monkeypatch.setattr(cgen, "_BUILDS", {})
+        session = DecoMine(graph, engine=engine)
+        plans = [session.plan_for(pattern) for pattern, _ in ONE_GROUP]
+        c_plans = self._c_plans(plans)
+        assert c_plans and all(plan.native.entry is None
+                               for plan in c_plans)
+        return session, c_plans
+
+    @pytest.mark.skipif(cgen.find_compiler() is None,
+                        reason="no C compiler on this host")
+    def test_batch_settles_its_members_builds(self, graph, monkeypatch):
+        session, c_plans = self._planned(graph, monkeypatch)
+        expected = [reference.count_embeddings(graph, pattern)
+                    for pattern, _ in ONE_GROUP]
+        assert TestFusedMemo._batch(session, ONE_GROUP)[0] == expected
+        # The fused members' own plans never ran, yet hold entry points.
+        assert all(plan.native.entry is not None for plan in c_plans)
+        observe.enable()
+        try:
+            counts = [session.submit(MiningRequest(pattern=pattern)).count
+                      for pattern, _ in ONE_GROUP]
+        finally:
+            trace = observe.disable()
+        assert counts == expected
+        assert trace.find("native_build") == []
+
+    @pytest.mark.skipif(cgen.find_compiler() is None,
+                        reason="no C compiler on this host")
+    def test_batch_under_a_deadline_does_not_wait(self, graph, monkeypatch):
+        session, c_plans = self._planned(graph, monkeypatch)
+        responses = session.submit_batch([
+            MiningRequest(pattern=pattern, deadline_s=60.0)
+            for pattern, _ in ONE_GROUP
+        ])
+        assert all(response.ok for response in responses)
+        # The fused members' plans were not resolved by the batch.
+        assert any(plan.native.entry is None for plan in c_plans)
+        cgen.wait()

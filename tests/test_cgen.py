@@ -5,7 +5,9 @@ Python fallback when no compiler is found or a plan has no C lowering,
 exact big-integer results on ``int64`` overflow, Python's floor
 division, chunk ranges and time slices, cooperative cancellation,
 which sets get a bitmap and where it is cleared, the gallop escape and
-size-only excludes, the build cache (canonical sources, one build
+size-only excludes, the rewrites that use what the loop nest proves
+(arithmetic excludes, reused counting nests, the tightest trim first)
+and their guards, the build cache (canonical sources, one build
 per source) and builds started at plan time (prefetch, the fork and
 exit rules).  A wrapper script stands in for the compiler through the
 ``find_compiler`` seam, to hold a build in flight or make it fail.
@@ -42,6 +44,7 @@ from repro.compiler.specs import Constraint, DirectSpec
 from repro.costmodel import profile_graph
 from repro.graph import datasets, shared
 from repro.graph.csr import CSRGraph
+from repro.graph.transform import orient
 from repro.observe import metrics as om
 from repro.patterns import catalog
 from repro.patterns.pattern import Pattern
@@ -71,6 +74,12 @@ def native_everywhere(monkeypatch):
 def profiled(medium_random_graph):
     return medium_random_graph, profile_graph(
         medium_random_graph, max_pattern_size=3, trials=40)
+
+
+@pytest.fixture(scope="module")
+def lj():
+    graph = datasets.load("lj")
+    return graph, profile_graph(graph)
 
 
 def _hand_plan(body, num_tables: int = 0) -> CompiledPlan:
@@ -231,6 +240,12 @@ def _bitmapped(source: str) -> list[str]:
     return re.findall(r"bm_mark\((s\d+), m\d+, 1\);", source)
 
 
+def _first_neighborhood(source: str) -> str:
+    """The C set holding ``N(v0)``."""
+    return re.search(r"(s\d+) = \(set_t\)\{indices \+ indptr\[v0\]",
+                     source).group(1)
+
+
 def test_bitmap_set_under_if_positive_is_cleared_in_that_block(tiny_graph,
                                                                profiled):
     """An ``IfPositive`` body may not run, so its set is unassigned after
@@ -262,15 +277,13 @@ def test_bitmap_set_under_if_positive_is_cleared_in_that_block(tiny_graph,
         assert counts[COUNT_ACC] > 0
 
 
-def test_house_bitmaps_only_the_first_neighborhood():
+def test_house_bitmaps_only_the_first_neighborhood(lj):
     """``N(v0)`` is fixed for every deeper loop of house; ``N(v1)`` is
     only excluded from, which reads no bitmap."""
-    graph = datasets.load("lj")
-    plan = compile_pattern(catalog.house(), profile_graph(graph))
+    graph, profile = lj
+    plan = compile_pattern(catalog.house(), profile)
     native = cgen.resolve(plan)
-    first = re.search(r"(s\d+) = \(set_t\)\{indices \+ indptr\[v0\]",
-                      native.source)
-    assert _bitmapped(native.source) == [first.group(1)]
+    assert _bitmapped(native.source) == [_first_neighborhood(native.source)]
     assert native.bitmaps == 1
     before = STATS.snapshot()
     result = execute_plan(plan, graph)
@@ -558,6 +571,193 @@ def test_materialized_excludes_are_counted_on_both_targets(tiny_graph,
     for result in (native, python):
         stats = result.metrics.kernel_stats
         assert stats["exclude"] == 2 * tiny_graph.num_edges
+
+
+# ----------------------------------------------------------------------
+# What the loop nest proves: arithmetic excludes, reused counting nests,
+# the tightest trim first
+# ----------------------------------------------------------------------
+
+def _loops_over(source: str, name: str) -> int:
+    return len(re.findall(rf"for \(i\d+ = 0; i\d+ < {name}\.n;", source))
+
+
+def _matches_python(plan, graph) -> None:
+    native = cgen.resolve(plan)
+    assert native.target == "c"
+    assert (cgen.run(plan, native, graph, ExecutionContext())
+            == plan.function(graph, ExecutionContext()))
+
+
+def test_four_chain_sizes_its_excludes_arithmetically(lj):
+    """``v1 in N(v0)`` and ``v0 in N(v1)`` are proved by the loop nest,
+    so each ``size(exclude(N(.), other))`` is the row length less one."""
+    graph, profile = lj
+    plan = compile_pattern(catalog.chain(4), profile)
+    source = cgen.resolve(plan).source
+    assert "excl_n" not in source
+    assert re.search(r"= s\d+\.n - 1;", source)
+    before = STATS.snapshot()
+    _matches_python(plan, graph)
+    assert STATS.delta(before)["size_only"] == 0
+
+
+def test_bowtie_runs_its_triangle_nest_once(lj):
+    """bowtie's two counting nests over ``N(v0)`` are equal up to
+    renaming; the second reuses the first one's scalar."""
+    graph, profile = lj
+    plan = compile_pattern(catalog.bowtie(), profile)
+    source = cgen.resolve(plan).source
+    assert _loops_over(source, _first_neighborhood(source)) == 1
+    assert re.search(r"c\d+ = c\d+;", source)
+    _matches_python(plan, graph)
+
+
+def test_triangle_filters_through_the_tighter_bound(lj):
+    """``trim_above(intersect_from(N(v0), N(v1), v0), v1)`` with
+    ``v1 > v0`` known is one bitmap filter of ``N(v1)`` above ``v1``."""
+    graph, profile = lj
+    plan = compile_pattern(catalog.triangle(), profile)
+    source = cgen.resolve(plan).source
+    assert re.search(r"bm_and\(trim_above\(s\d+, v1\)", source)
+    # The only plain trim left is the symmetry-broken N(v0).
+    assert re.findall(r"= trim_above\((s\d+), (v\d+)\);", source) == [
+        (_first_neighborhood(source), "v0")]
+    result = execute_plan(plan, graph)
+    assert result.target == "c"
+    assert result.embedding_count == reference.count_embeddings(
+        graph, catalog.triangle())
+    _matches_python(plan, graph)
+
+
+@pytest.mark.parametrize("pattern", [catalog.chain(4), catalog.bowtie(),
+                                     catalog.triangle(), catalog.house(),
+                                     catalog.tailed_triangle(), catalog.net()],
+                         ids=lambda pattern: pattern.name)
+def test_rewritten_plans_count_exactly(profiled, pattern):
+    graph, profile = profiled
+    plan = compile_pattern(pattern, profile)
+    result = execute_plan(plan, graph)
+    assert result.target == "c"
+    assert result.embedding_count == reference.count_embeddings(graph,
+                                                                pattern)
+    for each in [plan, *(aux for aux, _ in plan.aux_plans)]:
+        _matches_python(each, graph)
+
+
+def _exclude_plan(inner: list) -> CompiledPlan:
+    """A size-only exclude nested under ``s2 = N(v1)``, ``v2 in s2``."""
+    return _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        Loop("v2", "s2", [
+            *inner,
+            ScalarOp("c1", "size", ("s9",)),
+            Accumulate(COUNT_ACC, "c1"),
+        ]),
+    ])
+
+
+@pytest.mark.parametrize("xs,call", [
+    # v3 ranges over every vertex: not known to be in N(v1).
+    (("v3",), "{v2}, 1"),
+    # v2 is in N(v1), but v3 may equal it.
+    (("v2", "v3"), "{v1, v2}, 2"),
+], ids=["non-member", "member-may-equal-non-member"])
+def test_unproved_members_keep_excl_n(profiled, xs, call):
+    graph, _ = profiled
+    plan = _exclude_plan([
+        Loop("v3", "s1", [
+            SetOp("s4", "exclude", ("s2", *xs)),
+            ScalarOp("c2", "size", ("s4",)),
+            Accumulate(COUNT_ACC, "c2"),
+        ]),
+        SetOp("s9", "copy", ("s2",)),
+    ])
+    source = cgen.resolve(plan).source
+    assert f"= excl_n(s1, (const i64[]){call}, st);\n" in source
+    _matches_python(plan, graph)
+
+
+@pytest.mark.parametrize("outer", ["oriented", "neighbors"])
+def test_an_oriented_row_proves_no_membership(profiled, outer):
+    """``v2 in N(v1)`` does not put ``v1`` in ``oriented(v2)``: that row
+    holds only v2's higher neighbors."""
+    graph = orient(profiled[0], "degree")
+    plan = _hand_plan([
+        SetOp("s2", outer, ("v1",)),
+        Loop("v2", "s2", [
+            SetOp("s3", "oriented", ("v2",)),
+            SetOp("s9", "exclude", ("s3", "v1")),
+            ScalarOp("c1", "size", ("s9",)),
+            Accumulate(COUNT_ACC, "c1"),
+        ]),
+    ])
+    assert "= excl_n(" in cgen.resolve(plan).source
+    _matches_python(plan, graph)
+
+
+def test_possibly_equal_members_are_compared(profiled):
+    """v2 and v3 are both in N(v1) and may be equal: the count of
+    distinct members is a compare; v4 > v2 is known to differ."""
+    graph, _ = profiled
+    plan = _exclude_plan([
+        Loop("v3", "s2", [
+            SetOp("s4", "exclude", ("s2", "v2", "v3")),
+            ScalarOp("c2", "size", ("s4",)),
+            Accumulate(COUNT_ACC, "c2"),
+        ]),
+        SetOp("s5", "trim_above", ("s2", "v2")),
+        Loop("v4", "s5", [
+            SetOp("s6", "exclude", ("s2", "v2", "v4", "v2")),
+            ScalarOp("c3", "size", ("s6",)),
+            Accumulate(COUNT_ACC, "c3"),
+        ]),
+        SetOp("s9", "exclude", ("s2", "v2")),
+    ])
+    source = cgen.resolve(plan).source
+    assert "excl_n" not in source
+    assert re.search(r"= s1\.n - \(1 \+ \(v2 != v1\)\);", source)
+    assert re.search(r"= s1\.n - 2;", source)
+    before = STATS.snapshot()
+    _matches_python(plan, graph)
+    assert STATS.delta(before)["size_only"] == 0
+
+
+def _nest(scalar: str, var: str, tag: str, source: str, other: str,
+          extra=()) -> list:
+    """``scalar = 0``, then a loop over ``source`` summing
+    ``|other & N(var)|`` into it."""
+    return [
+        ScalarOp(scalar, "const", (0,)),
+        Loop(var, source, [
+            SetOp(f"s{tag}a", "neighbors", (var,)),
+            SetOp(f"s{tag}b", "intersect", (other, f"s{tag}a")),
+            ScalarOp(f"c{tag}", "size", (f"s{tag}b",)),
+            Accumulate(scalar, f"c{tag}"),
+            *(Accumulate(target, f"c{tag}") for target in extra),
+        ]),
+    ]
+
+
+@pytest.mark.parametrize("second,extra,loops", [
+    (("s2", "s2"), (), 1),
+    (("s2", "s3"), (), 2),      # reads s3, not s2
+    (("s2", "s2"), (COUNT_ACC,), 2),  # also adds to a root accumulator
+], ids=["equal", "one-free-name-differs", "root-accumulator"])
+def test_counting_nests_merge_only_when_equal(profiled, second, extra,
+                                              loops):
+    graph, _ = profiled
+    plan = _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        SetOp("s3", "trim_above", ("s2", "v1")),
+        *_nest("c1", "v2", "10", "s2", "s2", extra),
+        *_nest("c2", "v3", "20", second[0], second[1], extra),
+        ScalarOp("c3", "mul", ("c1", "c2")),
+        Accumulate(COUNT_ACC, "c3"),
+    ])
+    source = cgen.resolve(plan).source
+    assert _loops_over(source, "s1") == loops
+    _matches_python(plan, graph)
 
 
 # ----------------------------------------------------------------------
