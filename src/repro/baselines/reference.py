@@ -42,49 +42,63 @@ def _assignments(
     graph: CSRGraph, pattern: Pattern, induced: bool
 ) -> Iterator[tuple[int, ...]]:
     """Yield injective maps pattern->graph preserving edges (and, when
-    ``induced``, non-edges), as tuples indexed by pattern vertex."""
+    ``induced``, non-edges), as tuples indexed by pattern vertex.
+
+    Rows are read as Python lists and edge tests are set lookups (each
+    row's set is built the first time it is probed): the graph's
+    ``has_edge`` costs a numpy call per test, which made up most of a
+    brute-force count.
+    """
     order = _matching_order(pattern)
     mapping: dict[int, int] = {}
+    rows = graph.adjacency_lists()
+    row_sets: dict[int, frozenset] = {}
 
-    def candidates(v: int):
+    def candidates(v: int) -> list[int]:
+        """Every image of ``v`` consistent with the current ``mapping``."""
         matched_neighbors = [w for w in pattern.neighbors(v) if w in mapping]
         if matched_neighbors:
-            base = graph.neighbors(mapping[matched_neighbors[0]])
-            source = (int(x) for x in base)
+            source = rows[mapping[matched_neighbors[0]]]
         else:
             source = range(graph.num_vertices)
         used = set(mapping.values())
         want = pattern.label_of(v)
+        # Images ``g`` must be adjacent to, and (induced) must not be.
+        adjacent = frozenset(mapping[w] for w in matched_neighbors[1:])
+        apart = frozenset(gw for w, gw in mapping.items()
+                          if induced and not pattern.has_edge(v, w))
+        images = []
         for g in source:
             if g in used:
                 continue
             if want is not None and graph.label_of(g) != want:
                 continue
-            if any(
-                not graph.has_edge(g, mapping[w]) for w in matched_neighbors[1:]
-            ):
-                continue
-            if induced:
-                conflict = False
-                for w, gw in mapping.items():
-                    if not pattern.has_edge(v, w) and graph.has_edge(g, gw):
-                        conflict = True
-                        break
-                if conflict:
+            if adjacent or apart:
+                members = row_sets.get(g)
+                if members is None:
+                    members = row_sets[g] = frozenset(rows[g])
+                if not (members >= adjacent and members.isdisjoint(apart)):
                     continue
-            yield g
+            images.append(g)
+        return images
 
-    def backtrack(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
-            yield tuple(mapping[v] for v in range(pattern.n))
-            return
-        v = order[i]
-        for g in candidates(v):
+    # Backtracking over an explicit stack of candidate iterators, one per
+    # matched depth, so each assignment is one resume away from the caller.
+    last = len(order) - 1
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        depth = len(stack) - 1
+        v = order[depth]
+        g = next(stack[-1], None)
+        if g is None:
+            stack.pop()
+            mapping.pop(v, None)
+        elif depth == last:
             mapping[v] = g
-            yield from backtrack(i + 1)
-            del mapping[v]
-
-    yield from backtrack(0)
+            yield tuple(mapping[u] for u in range(pattern.n))
+        else:
+            mapping[v] = g
+            stack.append(iter(candidates(order[depth + 1])))
 
 
 def count_injective_homomorphisms(

@@ -234,6 +234,11 @@ def main(argv: list[str] | None = None) -> int:
                          default="text",
                          help="json adds cost, orientation and the "
                               "plan-cache key + hit/miss")
+    explain.add_argument("--orient", choices=("none", "degree", "degeneracy"),
+                         default="none",
+                         help="explain the plan compiled for an "
+                              "orientation-relabeled graph, as count "
+                              "--orient runs it (default none)")
 
     stats = sub.add_parser(
         "stats",

@@ -246,21 +246,30 @@ def node_uses(node: Node) -> set[str]:
     return set()
 
 
+#: Node types owning one child statement block, ``body``.
+_BLOCK_NODES = (Loop, IfPositive, IfPred, Root)
+
+
 def child_blocks(node: Node) -> list[list[Node]]:
     """Mutable child statement blocks of a node."""
-    if isinstance(node, (Loop, IfPositive, IfPred)):
-        return [node.body]
-    if isinstance(node, Root):
+    if isinstance(node, _BLOCK_NODES):
         return [node.body]
     return []
 
 
 def walk(node: Node) -> Iterable[Node]:
-    """Pre-order traversal of the subtree rooted at ``node``."""
-    yield node
-    for block in child_blocks(node):
-        for child in block:
-            yield from walk(child)
+    """Pre-order traversal of the subtree rooted at ``node``.
+
+    An explicit stack rather than nested generators: each yielded node
+    costs one resume however deep it sits, which matters to the passes
+    that walk every candidate tree of a search several times.
+    """
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        yield node
+        if isinstance(node, _BLOCK_NODES):
+            pending.extend(reversed(node.body))
 
 
 def substitute_args(node: Node, mapping: dict[str, str]) -> None:

@@ -22,6 +22,7 @@ layouts, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.compiler.ast_nodes import (
     Accumulate,
@@ -74,11 +75,20 @@ class PlanInfo:
     expand_automorphisms: bool = False
 
 
-def build_ast(spec: PlanSpec, mode: str = "count") -> tuple[Root, PlanInfo]:
-    """Lower ``spec`` to an AST.  ``mode`` is ``'count'`` or ``'emit'``."""
+def build_ast(
+    spec: PlanSpec,
+    mode: str = "count",
+    prefix: Callable[[Pattern, tuple[int, ...]], Pattern] | None = None,
+) -> tuple[Root, PlanInfo]:
+    """Lower ``spec`` to an AST.  ``mode`` is ``'count'`` or ``'emit'``.
+
+    ``prefix(pattern, vertices)`` must return
+    ``pattern.induced_subpattern(vertices)``; a search passes its memo's,
+    so the loops of all its candidates share one copy of each prefix.
+    """
     if mode not in ("count", "emit"):
         raise CompilationError(f"unknown mode {mode!r}")
-    builder = _Builder(mode)
+    builder = _Builder(mode, prefix or Pattern.induced_subpattern)
     if isinstance(spec, DirectSpec):
         return builder.build_direct(spec)
     if isinstance(spec, DecompSpec):
@@ -87,8 +97,13 @@ def build_ast(spec: PlanSpec, mode: str = "count") -> tuple[Root, PlanInfo]:
 
 
 class _Builder:
-    def __init__(self, mode: str) -> None:
+    def __init__(
+        self,
+        mode: str,
+        prefix: Callable[[Pattern, tuple[int, ...]], Pattern],
+    ) -> None:
         self.mode = mode
+        self._prefix = prefix
         self._set_counter = 0
         self._scalar_counter = 0
         self._vertex_counter = 0
@@ -137,7 +152,8 @@ class _Builder:
         Returns the candidate set variable and the loop metadata.
         """
         matched_map = dict(matched)
-        neighbors = [v for v, _ in matched if pattern.has_edge(new_vertex, v)]
+        adjacent = pattern.neighbors(new_vertex)
+        neighbors = [v for v, _ in matched if v in adjacent]
         label = pattern.label_of(new_vertex)
 
         if neighbors:
@@ -175,9 +191,9 @@ class _Builder:
         if excludes:
             current = self._emit_set(block, "exclude", (current,) + excludes)
 
-        prefix_vertices = [v for v, _ in matched] + [new_vertex]
+        prefix_vertices = tuple(v for v, _ in matched) + (new_vertex,)
         meta = LoopMeta(
-            prefix=pattern.induced_subpattern(prefix_vertices),
+            prefix=self._prefix(pattern, prefix_vertices),
             constraint_degree=len(neighbors),
             num_trims=len(trims),
             label=label,
@@ -286,7 +302,7 @@ class _Builder:
         prefix_restrictions: list[tuple[int, int]] = []
         prefix_automorphisms: tuple[tuple[int, ...], ...] = ((),)
         if plr_k:
-            prefix_pattern = pattern.induced_subpattern(vc[:plr_k])
+            prefix_pattern = self._prefix(pattern, tuple(vc[:plr_k]))
             prefix_automorphisms = automorphisms(prefix_pattern)
             if len(prefix_automorphisms) == 1:
                 plr_k = 0

@@ -112,11 +112,10 @@ def compile_pattern(
     with span("compile", pattern=pattern.name or repr(pattern), mode=mode,
               orientation=orientation):
         search_started = time.perf_counter()
-        with span("search"):
-            best = search(
-                pattern, profile, model, mode=mode, induced=induced,
-                constraints=constraints, options=options,
-            )
+        best = search(
+            pattern, profile, model, mode=mode, induced=induced,
+            constraints=constraints, options=options,
+        )
         note_phase("search", time.perf_counter() - search_started)
         with span("codegen"):
             function, source = compile_root(best.root)

@@ -5,13 +5,20 @@ pattern (which vertex cutting set, including "don't decompose") and the
 matching orders.  Every candidate is lowered to an AST, optimized by the
 middle end, and priced by the cost model; the cheapest wins.
 
-Two scoping devices keep the search fast, mirroring the paper's structure:
+Three scoping devices keep the search fast, the first two mirroring the
+paper's structure:
 
 * extension orders of different subpatterns contribute *additively* to the
   plan cost given the cutting-set match, so the best order is picked per
   subpattern independently before full plans are assembled;
 * PLR is only attempted on cutting-set prefixes whose induced subpattern
-  actually has symmetry.
+  actually has symmetry;
+* :func:`search` is a branch and bound: each lowered candidate first gets
+  a lower bound on its optimized cost (:func:`_lower_bound`, the work no
+  middle-end pass removes), and one whose bound reaches the best cost so
+  far is neither optimized nor priced.  The winner and its cost are
+  exactly the exhaustive minimum's; :func:`enumerate_candidates` still
+  prices every candidate.
 """
 
 from __future__ import annotations
@@ -20,11 +27,30 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from repro.compiler.ast_nodes import LoopMeta, Root
+from repro.compiler.ast_nodes import (
+    Accumulate,
+    EmitPartial,
+    HashAdd,
+    HashClear,
+    IfPositive,
+    IfPred,
+    Loop,
+    LoopMeta,
+    Root,
+    SetOp,
+)
 from repro.compiler.build import PlanInfo, build_ast
 from repro.compiler.passes import PassOptions, optimize
 from repro.compiler.specs import Constraint, DecompSpec, DirectSpec, PlanSpec
 from repro.costmodel import CostModel, CostProfile, estimate_cost
+from repro.costmodel.base import (
+    _ANY_OPERAND_ORIENTED,
+    _FIRST_OPERAND_ORIENTED,
+    _LOOP_OVERHEAD,
+    _SCALAR_OP_WEIGHT,
+    _SET_OP_BASE,
+    _SET_OP_PER_DEGREE,
+)
 from repro.exceptions import CompilationError
 from repro.observe.trace import span
 from repro.patterns.decomposition import Decomposition, all_decompositions
@@ -88,13 +114,31 @@ def search(
     constraints: tuple[Constraint, ...] = (),
     options: SearchOptions = SearchOptions(),
 ) -> PlanCandidate:
-    """Return the cheapest candidate; raises if the space is empty."""
+    """Return the cheapest candidate; raises if the space is empty.
+
+    A branch and bound over :func:`enumerate_candidates`' sequence: a
+    lowered candidate whose :func:`_lower_bound` is at least the best
+    cost so far cannot win (a tie goes to the earlier candidate), so it
+    is neither optimized nor priced.  The choice and its cost are the
+    exhaustive minimum's, bit for bit.
+    """
+    memo = _SearchMemo(profile, model)
     best: PlanCandidate | None = None
-    for candidate in enumerate_candidates(
-        pattern, profile, model, mode, induced, constraints, options
-    ):
-        if best is None or candidate.cost < best.cost:
-            best = candidate
+    seen = evaluated = 0
+    with span("search") as s:
+        for spec, root, info in _lowered_candidates(
+            pattern, mode, induced, constraints, options, memo
+        ):
+            seen += 1
+            if best is not None and _lower_bound(
+                spec, root, memo, options.passes
+            ) >= best.cost:
+                continue
+            evaluated += 1
+            candidate = _price(spec, root, info, memo, options)
+            if best is None or candidate.cost < best.cost:
+                best = candidate
+        s.set(candidates=seen, evaluated=evaluated, pruned=seen - evaluated)
     if best is None:
         raise CompilationError(
             f"no feasible plan for {pattern!r} "
@@ -114,10 +158,18 @@ def enumerate_candidates(
 ):
     """Yield every evaluated candidate (used directly by Figure 19)."""
     memo = _SearchMemo(profile, model)
+    for spec, root, info in _lowered_candidates(
+        pattern, mode, induced, constraints, options, memo
+    ):
+        yield _price(spec, root, info, memo, options)
+
+
+def _lowered_candidates(pattern, mode, induced, constraints, options, memo):
+    """``(spec, root, info)`` for every candidate, in search order."""
     if options.enable_direct:
         for spec in _direct_specs(pattern, induced, constraints, options,
                                   memo):
-            yield _evaluate(spec, mode, memo, options)
+            yield (spec, *build_ast(spec, mode, memo.prefix))
     if options.enable_decomposition and not induced and pattern.n >= 3:
         ranked = sorted(
             _decomp_specs(pattern, memo, constraints, options, mode),
@@ -125,9 +177,10 @@ def enumerate_candidates(
         )
         for _prelim, spec in ranked[: options.full_eval_limit]:
             try:
-                yield _evaluate(spec, mode, memo, options)
+                root, info = build_ast(spec, mode, memo.prefix)
             except CompilationError:
                 continue  # constraint placement infeasible for this VC
+            yield spec, root, info
 
 
 class _SearchMemo(CostModel):
@@ -203,22 +256,187 @@ class _SearchMemo(CostModel):
         return value
 
 
-def _evaluate(
+def _price(
     spec: PlanSpec,
-    mode: str,
+    root: Root,
+    info: PlanInfo,
     memo: _SearchMemo,
     options: SearchOptions,
 ) -> PlanCandidate:
+    """Optimize a lowered candidate in place and price it."""
     with span("candidate", kind=spec.kind) as s:
-        root, info = build_ast(spec, mode)
         report = optimize(root, options.passes)
-        cost = estimate_cost(root, memo.profile, memo)
-        if isinstance(spec, DecompSpec) and not spec.include_shrinkages:
-            for shrinkage in spec.decomposition.shrinkages:
-                cost += memo.global_count(shrinkage.pattern)
+        cost = _plus_global_counts(
+            estimate_cost(root, memo.profile, memo), spec, memo
+        )
         s.set(cost=float(cost))
     return PlanCandidate(spec=spec, root=root, info=info, cost=cost,
                          report=report)
+
+
+def _plus_global_counts(cost: float, spec: PlanSpec, memo) -> float:
+    """``cost`` plus each quotient's count when the plan corrects its
+    shrinkages globally (added in one fixed order, so a bound and the
+    cost it bounds round alike)."""
+    if isinstance(spec, DecompSpec) and not spec.include_shrinkages:
+        for shrinkage in spec.decomposition.shrinkages:
+            cost += memo.global_count(shrinkage.pattern)
+    return cost
+
+
+# ----------------------------------------------------------------------
+# The bound
+# ----------------------------------------------------------------------
+
+#: Set ops that come out of every pass as a full-price set op: the
+#: middle end may share, hoist or fuse them, but never makes one a slice
+#: or a copy.  (The orient pass may turn ``trim_above`` into a copy, so
+#: that op counts only when orientation is off.)
+_KEPT_SET_OPS = frozenset(
+    {"intersect", "subtract", "exclude", "filter_label", "trim_below"}
+)
+_EFFECTS = (Accumulate, EmitPartial, HashAdd, HashClear)
+
+#: Headroom for rounding: the bound and the cost sum different terms in
+#: different orders, so each may be off by a few ulps.
+_ROUNDING = 1.0 - 1e-12
+
+
+def _lower_bound(spec, root, memo, passes: PassOptions) -> float:
+    """A price that ``estimate_cost`` of any optimized form of ``root``
+    reaches, computed on the lowered tree without running the passes.
+
+    It counts only what no pass removes, each at the fewest entries any
+    pass could move it to:
+
+    * every effect (accumulate, hash and emit nodes), where it stands;
+    * a loop's overhead and body, unless elision will replace the loop
+      by a size count (a body of one constant accumulate);
+    * one kept set op (:data:`_KEPT_SET_OPS`) per class of equal
+      expressions, charged to the loop of its deepest operand.  CSE
+      keeps one op of each class, in an enclosing block; loop-invariant
+      code motion moves an op to its deepest operand's loop level, so
+      it stays inside that loop; fusion merges a trim into the
+      intersect or subtract it reads, so such trims are not charged.
+      The op is charged the fewest entries on the path from that loop's
+      body to where it was built, at out-degree when every set it reads
+      may be oriented.
+
+    Iteration counts come from the same memo as the cost, at the
+    oriented cap for a loop whose source may be oriented.  The walk
+    asks the memo for the loops and guards ``estimate_cost`` will price,
+    in the order it prices them, so a pruned candidate leaves the
+    profile's on-demand estimates exactly as pricing it would have.
+    """
+    profile = memo.profile
+    oriented = passes.orient != "none"
+    kept = _KEPT_SET_OPS if oriented else _KEPT_SET_OPS | {"trim_above"}
+    full_row = _SET_OP_BASE + _SET_OP_PER_DEGREE * max(profile.avg_degree,
+                                                       1.0)
+    out_row = full_row
+    if oriented:
+        out_row = _SET_OP_BASE + _SET_OP_PER_DEGREE * max(
+            min(profile.avg_degree, profile.oriented_degree()), 1.0)
+    if not passes.licm:
+        # Without hoisting, fusion may merge ops of different loops.
+        kept = frozenset()
+    depth_of: dict[str, int] = {}     # set or loop var -> its loop level
+    same: dict[str, str] = {}         # set var -> first var of its class
+    first_of: dict[tuple, str] = {}   # class key -> its first var
+    fusable: set[str] = set()         # intersect and subtract results
+    orientable: set[str] = set()      # sets the orient pass may orient
+    # Per enclosing loop: the fewest entries on the path from its body
+    # to the block being walked.
+    levels: list[float] = []
+
+    def nested(block, entries) -> float:
+        saved = levels[:]
+        levels[:] = [min(least, entries) for least in levels]
+        total = walk(block, entries)
+        levels[:] = saved
+        return total
+
+    def walk(block, entries) -> float:
+        total = 0.0
+        for node in block:
+            if isinstance(node, SetOp):
+                op = node.op
+                args = []
+                depth = 0
+                for arg in node.args:
+                    if isinstance(arg, str):
+                        arg = same.get(arg, arg)
+                        depth = max(depth, depth_of.get(arg, 0))
+                    args.append(arg)
+                if op == "intersect":
+                    args.sort(key=repr)
+                elif op == "exclude":
+                    args[1:] = sorted(args[1:])
+                args = tuple(args)
+                depth_of[node.target] = depth
+                if op in ("intersect", "subtract"):
+                    fusable.add(node.target)
+                first = first_of.get((op, args))
+                if first is not None:  # CSE shares one op per class
+                    same[node.target] = first
+                    continue
+                first_of[(op, args)] = node.target
+                if oriented and _may_orient(op, args, orientable):
+                    orientable.add(node.target)
+                if (depth and op in kept and not (
+                    op.startswith("trim") and node.args[0] in fusable
+                )):
+                    sets = [a for a in args if isinstance(a, str)
+                            and not a.startswith(("v", "c"))]
+                    narrow = all(a in orientable for a in sets)
+                    total += levels[depth - 1] * (
+                        out_row if narrow else full_row)
+            elif isinstance(node, _EFFECTS):
+                total += entries * _SCALAR_OP_WEIGHT
+            elif isinstance(node, Loop):
+                if passes.elide and _counting_loop(node):
+                    total += entries * _SCALAR_OP_WEIGHT  # its accumulate
+                    continue
+                total += entries * _LOOP_OVERHEAD
+                inner = entries * memo.adjusted_iterations(
+                    node.meta, profile,
+                    oriented=same.get(node.source, node.source) in orientable,
+                )
+                levels.append(inner)
+                depth_of[node.var] = len(levels)
+                total += nested(node.body, inner)
+                levels.pop()
+            elif isinstance(node, IfPositive):
+                probability = 1.0
+                if node.gate_metas:
+                    expected = 1.0
+                    for meta in node.gate_metas:
+                        expected *= memo.adjusted_iterations(meta, profile)
+                    probability = min(1.0, expected)
+                total += nested(node.body, entries * probability)
+            elif isinstance(node, IfPred):
+                total += nested(node.body, entries)
+        return total
+
+    bound = walk(root.body, 1.0) * _ROUNDING
+    return _plus_global_counts(bound, spec, memo)
+
+
+def _may_orient(op: str, args: tuple, orientable: set[str]) -> bool:
+    """Whether the set ``op`` defines may read oriented rows once the
+    orient pass has run (``estimate_cost``'s propagation rules)."""
+    if op == "neighbors":
+        return True
+    if op in _ANY_OPERAND_ORIENTED:
+        return any(a in orientable for a in args)
+    return op in _FIRST_OPERAND_ORIENTED and args[0] in orientable
+
+
+def _counting_loop(loop: Loop) -> bool:
+    """True when elision replaces ``loop`` by a size count."""
+    body = loop.body
+    return (len(body) == 1 and isinstance(body[0], Accumulate)
+            and isinstance(body[0].value, int))
 
 
 def _global_count_estimate(pattern, memo) -> float:

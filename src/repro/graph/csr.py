@@ -35,7 +35,7 @@ class CSRGraph:
     __slots__ = (
         "indptr", "indices", "labels", "name", "_label_index",
         "_neighbor_views", "_degrees", "_fingerprint", "_degree_prefix",
-        "_oriented_cache", "shared_descriptor",
+        "_oriented_cache", "shared_descriptor", "_adjacency_lists",
     )
 
     def __init__(
@@ -59,6 +59,7 @@ class CSRGraph:
         self._fingerprint: str | None = None
         self._degree_prefix: np.ndarray | None = None
         self._oriented_cache: dict | None = None
+        self._adjacency_lists: tuple[list[int], ...] | None = None
         #: Set by :mod:`repro.graph.shared` when this CSR is a view over
         #: a shared-memory segment owned by a long-lived holder (the
         #: serve daemon) — parallel runs then reuse that segment instead
@@ -143,6 +144,22 @@ class CSRGraph:
             view.setflags(write=False)
             views[v] = view
         return view
+
+    def adjacency_lists(self) -> tuple[list[int], ...]:
+        """Every sorted neighbor row as a Python list (built once).
+
+        For pure-Python consumers that read single elements, such as the
+        neighbor-sampling estimator: indexing a list costs a fraction of
+        building a numpy scalar.
+        """
+        lists = self._adjacency_lists
+        if lists is None:
+            flat = self.indices.tolist()
+            bounds = self.indptr.tolist()
+            lists = tuple(flat[bounds[v]: bounds[v + 1]]
+                          for v in range(self.num_vertices))
+            self._adjacency_lists = lists
+        return lists
 
     def vertices(self) -> np.ndarray:
         """The full vertex set ``0..n-1`` as a sorted array."""

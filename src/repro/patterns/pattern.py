@@ -22,6 +22,13 @@ __all__ = ["Pattern"]
 MAX_PATTERN_SIZE = 10
 
 
+def _check_size(num_vertices: int) -> None:
+    if not 1 <= num_vertices <= MAX_PATTERN_SIZE:
+        raise PatternError(
+            f"pattern size {num_vertices} outside [1, {MAX_PATTERN_SIZE}]"
+        )
+
+
 class Pattern:
     """An immutable small undirected graph, optionally vertex-labeled.
 
@@ -47,10 +54,7 @@ class Pattern:
         labels: Sequence[int] | None = None,
         name: str | None = None,
     ) -> None:
-        if not 1 <= num_vertices <= MAX_PATTERN_SIZE:
-            raise PatternError(
-                f"pattern size {num_vertices} outside [1, {MAX_PATTERN_SIZE}]"
-            )
+        _check_size(num_vertices)
         self.n = num_vertices
         normalized = set()
         for u, v in edges:
@@ -59,16 +63,47 @@ class Pattern:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise PatternError(f"edge ({u}, {v}) out of range")
             normalized.add((min(u, v), max(u, v)))
-        self.edge_set = frozenset(normalized)
         if labels is not None:
             if len(labels) != num_vertices:
                 raise PatternError("labels length must equal num_vertices")
-            self.labels = tuple(int(x) for x in labels)
-        else:
-            self.labels = None
+            labels = tuple(int(x) for x in labels)
+        self._fill(frozenset(normalized), labels, name)
+
+    @classmethod
+    def _derived(
+        cls,
+        num_vertices: int,
+        edges: Iterable[tuple[int, int]],
+        labels: tuple[int, ...] | None,
+        name: str | None,
+    ) -> "Pattern":
+        """A pattern computed from a valid one, skipping the checks.
+
+        ``edges`` are in-range ``(u, v)`` pairs with ``u != v``, each
+        listed once, and ``labels`` is already a tuple of ints: the
+        derivations below (vertex subsets and permutations of a valid
+        pattern) guarantee both, so only the public constructor checks.
+        """
+        _check_size(num_vertices)
+        pattern = object.__new__(cls)
+        pattern.n = num_vertices
+        pattern._fill(
+            frozenset({(u, v) if u < v else (v, u) for u, v in edges}),
+            labels, name,
+        )
+        return pattern
+
+    def _fill(
+        self,
+        edge_set: frozenset,
+        labels: tuple[int, ...] | None,
+        name: str | None,
+    ) -> None:
+        self.edge_set = edge_set
+        self.labels = labels
         self.name = name
-        adj: list[set[int]] = [set() for _ in range(num_vertices)]
-        for u, v in self.edge_set:
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v in edge_set:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(frozenset(s) for s in adj)
@@ -170,8 +205,8 @@ class Pattern:
         ]
         labels = None
         if self.labels is not None:
-            labels = [self.labels[v] for v in vertices]
-        return Pattern(len(vertices), edges, labels=labels, name=name)
+            labels = tuple(self.labels[v] for v in vertices)
+        return Pattern._derived(len(vertices), edges, labels, name)
 
     def with_edge(self, u: int, v: int) -> "Pattern":
         """A copy of this pattern with one extra edge."""
@@ -186,13 +221,17 @@ class Pattern:
 
     def relabeled(self, permutation: Sequence[int]) -> "Pattern":
         """Apply a vertex permutation: new vertex ``permutation[v]`` is old ``v``."""
+        if sorted(permutation) != list(range(self.n)):
+            raise PatternError(f"{permutation} is not a permutation of "
+                               f"0..{self.n - 1}")
         edges = [(permutation[u], permutation[v]) for u, v in self.edge_set]
         labels = None
         if self.labels is not None:
-            labels = [0] * self.n
+            relabeled = [0] * self.n
             for old, new in enumerate(permutation):
-                labels[new] = self.labels[old]
-        return Pattern(self.n, edges, labels=labels, name=self.name)
+                relabeled[new] = self.labels[old]
+            labels = tuple(relabeled)
+        return Pattern._derived(self.n, edges, labels, self.name)
 
     # ------------------------------------------------------------------
     # Hashing / equality (structural, not isomorphism)

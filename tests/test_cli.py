@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -91,6 +92,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "plan for" in out
         assert "def _plan(" in out
+
+    @pytest.mark.parametrize("orient", ["none", "degree"])
+    def test_explain_reports_the_requested_orientation(
+        self, capsys, edge_list_file, orient
+    ):
+        assert main(["explain", "--graph", edge_list_file,
+                     "--pattern", "triangle", "--orient", orient,
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["orientation"] == orient
 
     def test_requires_graph_source(self):
         with pytest.raises(SystemExit):
