@@ -7,10 +7,9 @@ answer a whole pattern workload.  The sequential baseline runs the
 with a *warm* plan cache — planning is already amortized, so the
 comparison isolates execution sharing, not compile latency.  The batched
 run submits the same workload through ``submit_batch``: one DAG where
-isomorphic queries dedup, decomposition quotients shared by several
-parents are enumerated once, and dependency-free direct censuses fuse
-through the prefix trie with matching orders re-chosen to deepen the
-shared prefixes (the GEO-style rewrite).
+isomorphic queries dedup and decomposition quotients shared by several
+parents are enumerated once (the GEO-style rewrite); every other census
+runs the plan a sequential count runs.
 
 Two gated metrics:
 
@@ -82,13 +81,9 @@ def make_graph(smoke: bool):
     """Power-law graphs sized so the catalog stays direct-census bound.
 
     On these graphs the cost model keeps the heavy catalog members
-    (5-cycle, house, figure6, bowtie) on *direct* plans — the regime
-    trie fusion optimizes, and the one where a motif-counting workload
-    actually spends its time.  On much larger/denser graphs the model
-    flips those patterns to decomposition; fusion then cannot apply
-    (decomposed specs are not direct censuses) and only the DAG's
-    quotient sharing helps, which this benchmark reports but does not
-    isolate.
+    (5-cycle, house, figure6, bowtie) on *direct* plans, the regime
+    where a motif-counting workload actually spends its time.  There the
+    batch's gain comes from the quotient enumerations its DAG shares.
     """
     if smoke:
         return power_law(300, avg_degree=10.0, exponent=1.8, seed=7)

@@ -11,9 +11,9 @@ drives it the way production traffic would:
   catalog; every one of the 54 responses must be exact *and* a plan
   cache hit (100% warm hit rate — profile/compile/search never ran).
   Then all three send the catalog once more as one ``submit_batch``,
-  at the same moment, so the daemon's handler threads build and reuse
-  the session's fused censuses concurrently; every batched count must
-  be exact too;
+  at the same moment, so the daemon's handler threads fill and reuse
+  the session's aux-stripped plan copies concurrently; every batched
+  count must be exact too;
 * **admission burst** — a second daemon with a tiny budget
   (``max_inflight=1, max_pending=0``) takes a synchronized 8-client
   burst, each client submitting a *different* pattern so none can

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from repro.api.messages import MiningRequest, MiningResponse
 from repro.compiler import cgen
-from repro.compiler.batch import FusedMemo, compile_batch
+from repro.compiler.batch import compile_batch
 from repro.compiler.pipeline import CompiledPlan, compile_pattern
 from repro.compiler.plancache import PlanCache, plan_key
 from repro.compiler.search import SearchOptions
@@ -119,7 +119,6 @@ class DecoMine:
         self._profile = profile
         self._profile_seed = profile_seed
         self._plan_cache: dict = {}
-        self._fused_memo = FusedMemo()
         #: Batch nodes' aux-stripped plan copies: id(plan) -> (plan, copy).
         self._stripped_plans: dict[int, tuple] = {}
 
@@ -427,8 +426,8 @@ class DecoMine:
         the workload (isomorphic duplicates collapse to one query),
         factors shared subpatterns — shrinkage quotients, vertex-induced
         host conversions — into a DAG enumerated once per distinct
-        census, and fuses direct plans through the ``multi.py`` prefix
-        trie; :func:`repro.runtime.batchrun.execute_batch` then runs the
+        census, and runs every other census as its own plan;
+        :func:`repro.runtime.batchrun.execute_batch` then runs the
         schedule over one shared graph segment and set-op cache.
 
         All requests must be ``mode="count"`` and share at most one
@@ -473,14 +472,6 @@ class DecoMine:
             batch_plan, self.graph, options=options, policy=policy,
         )
         seconds = time.perf_counter() - started
-        budget = policy.budget if policy is not None else None
-        if options.executor == "codegen" and (
-                budget is None or budget.deadline_s is None):
-            # A fused member's own C build, started by plan_for, would
-            # otherwise outlive the batch and stall the next single count;
-            # a batch under a deadline does not wait for it.
-            for plan in batch_plan.term_plans:
-                cgen.join(plan)
         sharing = result.sharing.as_dict()
         query_of: dict[int, object] = {}
         for query in batch_plan.queries:
@@ -502,6 +493,7 @@ class DecoMine:
                 plan_cache_hit=query.plan_cache_hit,
                 seconds=seconds,
                 cancelled=result.cancelled,
+                salvage=result.salvage if count is None else None,
                 error=result.error if count is None else None,
                 batch_id=result.batch_id,
                 metrics={"sharing": dict(sharing)},

@@ -54,10 +54,9 @@ When to build
     compiler is found; :func:`resolve` says why.  A build starts when
     the session hands out the plan (:func:`prefetch`, on builder
     threads), so it overlaps whatever runs next; a run whose build is
-    still in flight waits for it.  A batch runs a fused census, not its
-    direct members' own plans, so ``submit_batch`` then joins the
-    builds already started for its term plans (:func:`join`): a single
-    count after it does not wait for ``gcc``.
+    still in flight waits for it.  A batch runs each term's own plan
+    (or its copy without aux plans, which has the same source), so it
+    builds no source that sequential counts of its patterns would not.
 
 Safety
     The C loop reads the run's cancel-token byte on every outer
@@ -126,7 +125,6 @@ __all__ = [
     "SLICE_NS",
     "Target",
     "find_compiler",
-    "join",
     "prefetch",
     "resolve",
     "run",
@@ -245,26 +243,6 @@ def prefetch(plan) -> None:
         native = each.native = _lower(each)
         if native.target == "c":
             _start(native.source, compiler)
-
-
-def join(plan) -> None:
-    """Wait for the builds :func:`prefetch` started for ``plan`` and its
-    aux plans, keeping each entry point on its plan.  A build no one
-    started is not begun."""
-    compiler = find_compiler()
-    if compiler is None:
-        return
-    pending = [plan]
-    while pending:
-        each = pending.pop()
-        pending += [aux for aux, _ in each.aux_plans]
-        native = each.native
-        if native is None or native.target != "c" or native.entry is not None:
-            continue
-        with _BUILD_LOCK:
-            started = _key(native.source, compiler) in _BUILDS
-        if started:
-            resolve(each)
 
 
 def _lower(plan) -> Target:

@@ -23,7 +23,7 @@ dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.compiler.ast_nodes import (
     Accumulate,
@@ -46,7 +46,6 @@ __all__ = [
     "MergedPlan",
     "build_merged_direct",
     "census_accumulator",
-    "choose_sharing_orders",
 ]
 
 
@@ -197,126 +196,6 @@ def build_merged_direct(
     )
     optimize(merged_root, passes)
     return plan
-
-
-def choose_sharing_orders(
-    specs: list[DirectSpec],
-    *,
-    num_vertices: int,
-    avg_degree: float,
-    max_candidates: int = 512,
-    improvement: float = 0.9,
-) -> list[DirectSpec]:
-    """Re-choose member matching orders to deepen shared loop prefixes.
-
-    A symmetry-breaking restriction set selects one representative per
-    automorphism class of each embedding — a property of the *pattern*,
-    not of the enumeration order — so a member's order can be re-chosen
-    freely among connected orders, and its restriction set swapped for
-    any other full set, without changing its count.  Each spec's own
-    plan picked both for standalone cost; in a merged census the right
-    objective is *marginal* cost: levels whose signature path already
-    exists in the shared trie are enumerated once for the whole group,
-    so they are free, while a degenerate tail stays expensive.  One
-    estimate covers both, so sharing is never bought with a bad order.
-
-    Members are placed heaviest-first (standalone estimate); each picks
-    the candidate (order, restriction set) minimizing estimated marginal
-    cost against the trie built by the members placed before it.  A
-    non-original candidate must beat the original's marginal cost by
-    ``1 - improvement`` to be taken, anchoring to the session cost
-    model's choices unless sharing predicts a real win.  Candidates are
-    pinned to the original level-0 signature (first-vertex label) so
-    grouping by the level-1 trie signature — the single-outer-loop
-    contract — is preserved.  Returned specs stay in input order.
-    """
-    from repro.patterns.matching_order import connected_orders
-    from repro.patterns.symmetry import restriction_set_candidates
-
-    V = float(max(num_vertices, 2))
-    p = min(1.0, max(avg_degree, 1.0) / (V - 1.0))
-    trie: set[tuple] = set()
-    chosen: list[DirectSpec | None] = [None] * len(specs)
-
-    def estimate(spec: DirectSpec, order, restrictions):
-        """Per-level partial-match volume and signature path."""
-        costs: list[float] = []
-        path: list = []
-        matches = 1.0
-        for position in range(len(order)):
-            v = order[position]
-            k = sum(
-                1 for j in range(position)
-                if spec.pattern.has_edge(v, order[j])
-            )
-            candidates = V if position == 0 else max(V * p ** k, 1.0)
-            trims = sum(
-                1 for a, b in restrictions
-                if (b == v and a in order[:position])
-                or (a == v and b in order[:position])
-            )
-            candidates = max(candidates * 0.5 ** trims, 1.0)
-            matches *= candidates
-            costs.append(matches)
-            path.append(_level_signature(
-                spec.pattern, order, position, restrictions, spec.induced
-            ))
-        return costs, tuple(path)
-
-    def marginal(costs, path):
-        shared = 0
-        for depth in range(1, len(path) + 1):
-            if path[:depth] in trie:
-                shared = depth
-            else:
-                break
-        return sum(costs[shared:])
-
-    ranked = sorted(
-        range(len(specs)),
-        key=lambda i: -sum(estimate(specs[i], specs[i].order,
-                                    specs[i].restrictions)[0]),
-    )
-    for index in ranked:
-        spec = specs[index]
-        anchor_label = spec.pattern.label_of(spec.order[0])
-        pairs = [(spec.order, spec.restrictions)]
-        restriction_sets = [spec.restrictions] + [
-            tuple(map(tuple, candidate))
-            for candidate in restriction_set_candidates(spec.pattern)
-        ]
-        deduped = []
-        seen = set()
-        for rs in restriction_sets:
-            key = tuple(sorted(rs))
-            if key not in seen:
-                seen.add(key)
-                deduped.append(rs)
-        for order in connected_orders(spec.pattern):
-            if spec.pattern.label_of(order[0]) != anchor_label:
-                continue
-            for rs in deduped:
-                if len(pairs) >= max_candidates:
-                    break
-                if (order, rs) != (spec.order, spec.restrictions):
-                    pairs.append((order, rs))
-        original_costs, original_path = estimate(spec, *pairs[0])
-        best = (marginal(original_costs, original_path), pairs[0],
-                original_path)
-        for order, rs in pairs[1:]:
-            costs, path = estimate(spec, order, rs)
-            cost = marginal(costs, path)
-            if cost < best[0] * improvement:
-                best = (cost, (order, rs), path)
-        _, (order, rs), path = best
-        for depth in range(1, len(path) + 1):
-            trie.add(path[:depth])
-        chosen[index] = (
-            spec if (order, rs) == (spec.order, spec.restrictions)
-            else replace(spec, order=tuple(order),
-                         restrictions=tuple(rs))
-        )
-    return [s for s in chosen if s is not None]
 
 
 def _level_signature(pattern: Pattern, order, position, restrictions,

@@ -80,6 +80,8 @@ class BatchResult:
     values: dict
     cancelled: str | None = None
     error: str | None = None
+    #: The salvage summary of the node that stopped the batch.
+    salvage: dict | None = None
 
 
 def _shared_cache(options: EngineOptions):
@@ -136,6 +138,7 @@ def execute_batch(
     node_results: list[BatchNodeResult] = []
     cancelled: str | None = None
     error: str | None = None
+    salvage: dict | None = None
     started = time.perf_counter()
     try:
         with span("batch-execute", batch=batch_id,
@@ -181,29 +184,20 @@ def execute_batch(
                 if result.cancelled is not None:
                     cancelled = result.cancelled
                 if not result.ok:
+                    salvage = result.salvage
                     error = (f"batch node {node.label!r} incomplete: "
                              f"{len(result.failures)} chunk(s) unrecovered")
                     continue
-                if node.kind == "merged":
-                    for member_key, accumulator, divisor in node.members:
-                        raw = result.accumulators.get(accumulator, 0)
-                        if raw % divisor != 0:
-                            raise ReproError(
-                                f"merged census accumulator {accumulator} "
-                                f"raw {raw} not divisible by {divisor}"
-                            )
-                        values[member_key] = raw // divisor
-                else:
-                    raw = result.raw_count
-                    for child_key, weight in node.deps:
-                        raw -= weight * values[child_key]
-                    if raw % node.divisor != 0:
-                        raise ReproError(
-                            f"batch node {node.label!r} raw {raw} not "
-                            f"divisible by multiplicity {node.divisor}: "
-                            f"symmetry accounting is broken"
-                        )
-                    values[node.key] = raw // node.divisor
+                raw = result.raw_count
+                for child_key, weight in node.deps:
+                    raw -= weight * values[child_key]
+                if raw % node.divisor != 0:
+                    raise ReproError(
+                        f"batch node {node.label!r} raw {raw} not "
+                        f"divisible by multiplicity {node.divisor}: "
+                        f"symmetry accounting is broken"
+                    )
+                values[node.key] = raw // node.divisor
     finally:
         if handle is not None:
             handle.close()
@@ -240,4 +234,5 @@ def execute_batch(
         values=values,
         cancelled=cancelled,
         error=error,
+        salvage=salvage,
     )

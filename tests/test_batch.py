@@ -20,8 +20,8 @@ from repro import observe
 from repro.api.messages import MiningRequest
 from repro.api.session import DecoMine
 from repro.baselines import reference
-from repro.compiler import batch, cgen, multi
-from repro.compiler.batch import MergedCensusSpec, compile_batch
+from repro.compiler import cgen
+from repro.compiler.batch import compile_batch
 from repro.compiler.codegen import compile_root
 from repro.compiler.multi import build_merged_direct
 from repro.compiler.specs import DirectSpec
@@ -194,16 +194,6 @@ class TestSharingReport:
         assert payload["eliminated"] == (
             payload["plans_sequential"] - payload["plans_batched"])
 
-    def test_merged_nodes_fuse_direct_plans(self, graph):
-        session = DecoMine(graph)
-        batch_plan = compile_batch(session, [
-            (catalog.chain(4), False), (catalog.star(4), False),
-            (catalog.cycle(4), False), (catalog.chain(3), False),
-        ])
-        sharing = batch_plan.sharing
-        assert sharing.merged_nodes >= 1
-        assert sharing.fused_members >= 2
-
     def test_describe_mentions_elimination(self, graph):
         session = DecoMine(graph)
         batch_plan = compile_batch(session, [
@@ -262,6 +252,11 @@ class TestBatchResponses:
         bad = [r for r in responses if not r.ok]
         assert all(r.count is None for r in bad)
         assert all(r.error or r.cancelled for r in bad)
+        # Every answer that is not ok says how much of the work finished.
+        for response in bad:
+            assert set(response.salvage) == {
+                "fraction", "chunks_done", "chunks_total", "unfinished"}
+            assert 0.0 <= response.salvage["fraction"] <= 1.0
 
 
 class TestExecuteBatchDirect:
@@ -343,103 +338,14 @@ class TestMergedPlanDedup:
             graph, catalog.chain(3), induced=True)
 
 
-class TestSharingOrderSelection:
-    """``choose_sharing_orders``: re-ordered specs count identically and
-    share deeper prefixes than the solo-optimal orders."""
-
-    def _specs(self, patterns):
-        specs = []
-        for pattern in patterns:
-            restrictions = (
-                tuple(symmetry_breaking_restrictions(pattern))
-                if automorphism_count(pattern) > 1 else ()
-            )
-            specs.append(DirectSpec(
-                pattern, connected_orders(pattern)[-1],
-                restrictions=restrictions,
-            ))
-        return specs
-
-    def _run(self, merged, graph):
-        function, _ = compile_root(merged.root)
-        accumulators = function(graph, ExecutionContext())
-        return [
-            accumulators[merged.accumulator_for(i)] // merged.divisors[i]
-            for i in range(len(merged.patterns))
-        ]
-
-    def test_positions_patterns_and_validity_preserved(self):
-        from repro.compiler.multi import choose_sharing_orders
-        from repro.patterns.matching_order import is_connected_order
-
-        specs = self._specs([catalog.cycle(5), catalog.house(),
-                             catalog.bowtie(), catalog.chain(4)])
-        chosen = choose_sharing_orders(specs, num_vertices=500,
-                                       avg_degree=12.0)
-        assert len(chosen) == len(specs)
-        for original, spec in zip(specs, chosen):
-            assert spec.pattern is original.pattern
-            assert spec.induced == original.induced
-            assert sorted(spec.order) == list(range(spec.pattern.n))
-            assert is_connected_order(spec.pattern, spec.order)
-
-    def test_counts_bit_identical_after_reordering(self, graph):
-        from repro.compiler.multi import choose_sharing_orders
-
-        patterns = [catalog.cycle(5), catalog.house(), catalog.bowtie(),
-                    catalog.figure6_pattern(), catalog.cycle(4)]
-        specs = self._specs(patterns)
-        chosen = choose_sharing_orders(specs, num_vertices=500,
-                                       avg_degree=12.0)
-        counts = self._run(build_merged_direct(chosen), graph)
-        expected = [reference.count_embeddings(graph, pattern)
-                    for pattern in patterns]
-        assert counts == expected
-
-    def test_reordered_group_shares_substantially(self, graph):
-        # The objective is marginal estimated cost, not raw shared-loop
-        # count — so the property locked here is the pair that matters:
-        # counts stay bit-identical to the un-reordered merge, and the
-        # chosen orders still share a substantial prefix fraction.
-        from repro.compiler.multi import choose_sharing_orders
-
-        patterns = [catalog.cycle(5), catalog.house(), catalog.bowtie(),
-                    catalog.figure6_pattern(), catalog.chain(5)]
-        specs = self._specs(patterns)
-        baseline = build_merged_direct(specs)
-        chosen = choose_sharing_orders(specs, num_vertices=500,
-                                       avg_degree=12.0)
-        merged = build_merged_direct(chosen)
-        assert merged.reuse_ratio >= 0.35
-        assert self._run(merged, graph) == self._run(baseline, graph)
-
-    def test_selection_is_idempotent(self):
-        # A chosen pair is within the acceptance margin of every
-        # alternative, so re-selecting from the chosen specs must be a
-        # fixed point — no oscillation between near-equal orders.
-        from repro.compiler.multi import choose_sharing_orders
-
-        specs = self._specs([catalog.cycle(5), catalog.house(),
-                             catalog.bowtie()])
-        first = choose_sharing_orders(specs, num_vertices=500,
-                                      avg_degree=12.0)
-        second = choose_sharing_orders(first, num_vertices=500,
-                                       avg_degree=12.0)
-        assert [(s.order, s.restrictions) for s in second] == \
-            [(s.order, s.restrictions) for s in first]
-
-
-#: One fusion group on ``graph`` (the 4-chain itself stays decomposed).
-ONE_GROUP = [(catalog.chain(4), False), (catalog.star(4), False),
+#: Direct censuses on ``graph`` beside one decomposed plan (the 4-chain).
+DIRECT_MIX = [(catalog.chain(4), False), (catalog.star(4), False),
              (catalog.cycle(4), False), (catalog.chain(3), False),
              (catalog.triangle(), False), (catalog.diamond(), False)]
-#: Two fusion groups on ``graph``: edge-induced 4-vertex censuses and
-#: vertex-induced 5-vertex ones.  The second workload shares the first
-#: group and differs in the second.
-TWO_GROUPS = [(catalog.chain(4), False), (catalog.star(4), False),
+#: Edge-induced 4-vertex censuses and vertex-induced 5-vertex ones.
+INDUCED_MIX = [(catalog.chain(4), False), (catalog.star(4), False),
               (catalog.cycle(4), False), (catalog.house(), True),
               (catalog.cycle(5), True), (catalog.gem(), True)]
-OTHER_SECOND_GROUP = TWO_GROUPS[:4] + [(catalog.bowtie(), True)]
 
 
 def _relabeled(pattern):
@@ -450,9 +356,9 @@ def _relabeled(pattern):
                    name=f"{pattern.name}-rev")
 
 
-class TestFusedMemo:
-    """A session keeps each fused census; a warm batch builds none, and
-    its counts and sharing report equal a fresh session's."""
+class TestRepeatedBatches:
+    """A session's later batches reuse its plans and their aux-stripped
+    copies; their counts and sharing report equal a fresh session's."""
 
     @staticmethod
     def _batch(session, workload):
@@ -467,35 +373,13 @@ class TestFusedMemo:
     def _fresh(self, graph, workload, engine=None):
         return self._batch(DecoMine(graph, engine=engine), workload)
 
-    @staticmethod
-    def _count_sharing_orders(monkeypatch):
-        calls = []
-        original = multi.choose_sharing_orders
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(multi, "choose_sharing_orders", counted)
-        return calls
-
-    def test_warm_batches_choose_orders_once(self, graph, monkeypatch):
-        expected = self._fresh(graph, ONE_GROUP)
-        assert expected[1]["merged_nodes"] == 1
-        calls = self._count_sharing_orders(monkeypatch)
-        session = DecoMine(graph)
-        assert self._batch(session, ONE_GROUP) == expected
-        assert self._batch(session, ONE_GROUP) == expected
-        assert len(calls) == 1
-        assert len(session._fused_memo) == 1
-
     def test_reordered_or_relabeled_workloads_stay_exact(self, graph):
         session = DecoMine(graph)
-        self._batch(session, TWO_GROUPS)
-        relabeled = list(TWO_GROUPS)
-        relabeled[1] = (_relabeled(TWO_GROUPS[1][0]), False)
-        relabeled[4] = (_relabeled(TWO_GROUPS[4][0]), True)
-        for workload in (TWO_GROUPS[::-1], relabeled, TWO_GROUPS):
+        self._batch(session, INDUCED_MIX)
+        relabeled = list(INDUCED_MIX)
+        relabeled[1] = (_relabeled(INDUCED_MIX[1][0]), False)
+        relabeled[4] = (_relabeled(INDUCED_MIX[4][0]), True)
+        for workload in (INDUCED_MIX[::-1], relabeled, INDUCED_MIX):
             assert self._batch(session, workload) == \
                 self._fresh(graph, workload)
         assert self._batch(session, relabeled)[0] == [
@@ -503,43 +387,10 @@ class TestFusedMemo:
             for pattern, induced in relabeled
         ]
 
-    def test_a_shared_group_is_reused_across_workloads(self, graph,
-                                                       monkeypatch):
-        expected = [self._fresh(graph, workload)
-                    for workload in (TWO_GROUPS, OTHER_SECOND_GROUP)]
-        assert [e[1]["merged_nodes"] for e in expected] == [2, 2]
-        calls = self._count_sharing_orders(monkeypatch)
-        session = DecoMine(graph)
-        assert self._batch(session, TWO_GROUPS) == expected[0]
-        assert len(calls) == 2
-        assert self._batch(session, OTHER_SECOND_GROUP) == expected[1]
-        assert len(calls) == 3  # only the group that differs
-        assert self._batch(session, TWO_GROUPS) == expected[0]
-        assert len(calls) == 3
-
-    def test_the_oldest_entry_is_evicted_past_the_bound(self, graph,
-                                                        monkeypatch):
-        monkeypatch.setattr(batch, "FUSED_MEMO_SIZE", 2)
-        workloads = [ONE_GROUP, TWO_GROUPS[3:], OTHER_SECOND_GROUP[3:]]
-        expected = [self._fresh(graph, workload) for workload in workloads]
-        assert [e[1]["merged_nodes"] for e in expected] == [1, 1, 1]
-        calls = self._count_sharing_orders(monkeypatch)
-        session = DecoMine(graph)
-        for workload, want in zip(workloads, expected):
-            assert self._batch(session, workload) == want
-        assert len(calls) == 3 and len(session._fused_memo) == 2
-        # The newest two hit; the oldest was evicted and builds again.
-        assert self._batch(session, workloads[2]) == expected[2]
-        assert self._batch(session, workloads[1]) == expected[1]
-        assert len(calls) == 3
-        assert self._batch(session, workloads[0]) == expected[0]
-        assert len(calls) == 4 and len(session._fused_memo) == 2
-
     def test_concurrent_batches_on_one_session_stay_exact(self, graph):
-        """More client threads than cores, switching often, all missing
-        the empty memo together: every count stays exact and the memo
-        keeps one entry per group."""
-        expected = self._fresh(graph, TWO_GROUPS)
+        """More client threads than cores, switching often, all filling
+        one empty session together: every count stays exact."""
+        expected = self._fresh(graph, INDUCED_MIX)
         session = DecoMine(graph)
         clients = 4
         start = threading.Barrier(clients, timeout=60)
@@ -549,7 +400,7 @@ class TestFusedMemo:
             try:
                 start.wait()
                 for _ in range(3):
-                    results.append(self._batch(session, TWO_GROUPS))
+                    results.append(self._batch(session, INDUCED_MIX))
             except Exception as exc:  # surfaced by the assert below
                 errors.append(exc)
 
@@ -566,42 +417,14 @@ class TestFusedMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == [expected] * (3 * clients)
-        assert len(session._fused_memo) == 2
-
-    def test_memo_stays_bounded_under_concurrent_puts(self, monkeypatch):
-        monkeypatch.setattr(batch, "FUSED_MEMO_SIZE", 4)
-        memo = batch.FusedMemo()
-        errors = []
-
-        def fill(offset: int) -> None:
-            try:
-                for key in range(offset, offset + 500):
-                    memo.put(key, key)
-                    memo.get(key - 1)
-            except Exception as exc:  # surfaced by the assert below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=fill, args=(1000 * i,))
-                   for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(memo) == 4
 
     @pytest.mark.skipif(cgen.find_compiler() is None,
                         reason="no C compiler on this host")
-    def test_codegen_warm_batch_reuses_the_built_census(self, graph,
-                                                        monkeypatch):
+    def test_codegen_warm_batch_lowers_and_builds_nothing(self, graph,
+                                                          monkeypatch):
         engine = EngineOptions(executor="codegen")
         monkeypatch.setattr(cgen, "NATIVE_MIN_COST", 0)
-        expected = self._fresh(graph, ONE_GROUP, engine)
+        expected = self._fresh(graph, DIRECT_MIX, engine)
         cgen.wait()
         monkeypatch.setattr(cgen, "_BUILDS", {})
         lowered = []
@@ -617,77 +440,47 @@ class TestFusedMemo:
         for _ in range(2):
             observe.enable()
             try:
-                assert self._batch(session, ONE_GROUP) == expected
+                assert self._batch(session, DIRECT_MIX) == expected
             finally:
                 traces.append(observe.disable())
             batches.append(list(lowered))
             lowered.clear()
-        [compiled] = traces[0].find("batch-compile")
-        assert compiled.attrs["fused_reused"] == 0
-        assert [isinstance(plan.spec, MergedCensusSpec)
-                for plan in batches[0]].count(True) == 1
-        assert traces[0].find("native_build")
+        assert batches[0]
         # The warm batch lowers nothing and builds nothing.
-        [compiled] = traces[1].find("batch-compile")
-        assert compiled.attrs["fused_reused"] == 1
         assert batches[1] == [] and traces[1].find("native_build") == []
 
 
 class TestBatchJoinsPrefetchedBuilds:
-    """Under ``codegen`` a batch returns with the C builds ``plan_for``
-    started for its term plans settled, so a single count after it does
-    not wait for one; under a deadline it leaves them in flight."""
+    """Under ``codegen`` a batch runs every term plan, or its copy with
+    the same C source, so it returns with the builds ``plan_for`` started
+    settled and a single count after it does not wait for one."""
 
-    @staticmethod
-    def _c_plans(plans):
-        """Every plan and aux plan below ``plans`` with a C lowering."""
-        pending, found = list(plans), []
-        while pending:
-            plan = pending.pop()
-            pending += [aux for aux, _ in plan.aux_plans]
-            if plan.native is not None and plan.native.target == "c":
-                found.append(plan)
-        return found
-
-    def _planned(self, graph, monkeypatch):
+    @pytest.mark.skipif(cgen.find_compiler() is None,
+                        reason="no C compiler on this host")
+    def test_batch_settles_its_members_builds(self, graph, monkeypatch):
         engine = EngineOptions(executor="codegen")
         monkeypatch.setattr(cgen, "NATIVE_MIN_COST", 0)
         cgen.wait()
         monkeypatch.setattr(cgen, "_BUILDS", {})
         session = DecoMine(graph, engine=engine)
-        plans = [session.plan_for(pattern) for pattern, _ in ONE_GROUP]
-        c_plans = self._c_plans(plans)
+        pending = [session.plan_for(pattern) for pattern, _ in DIRECT_MIX]
+        c_plans = []
+        while pending:
+            plan = pending.pop()
+            pending += [aux for aux, _ in plan.aux_plans]
+            if plan.native is not None and plan.native.target == "c":
+                c_plans.append(plan)
+        # plan_for started every build; no plan has resolved one yet.
         assert c_plans and all(plan.native.entry is None
                                for plan in c_plans)
-        return session, c_plans
-
-    @pytest.mark.skipif(cgen.find_compiler() is None,
-                        reason="no C compiler on this host")
-    def test_batch_settles_its_members_builds(self, graph, monkeypatch):
-        session, c_plans = self._planned(graph, monkeypatch)
         expected = [reference.count_embeddings(graph, pattern)
-                    for pattern, _ in ONE_GROUP]
-        assert TestFusedMemo._batch(session, ONE_GROUP)[0] == expected
-        # The fused members' own plans never ran, yet hold entry points.
-        assert all(plan.native.entry is not None for plan in c_plans)
+                    for pattern, _ in DIRECT_MIX]
+        assert TestRepeatedBatches._batch(session, DIRECT_MIX)[0] == expected
         observe.enable()
         try:
             counts = [session.submit(MiningRequest(pattern=pattern)).count
-                      for pattern, _ in ONE_GROUP]
+                      for pattern, _ in DIRECT_MIX]
         finally:
             trace = observe.disable()
         assert counts == expected
         assert trace.find("native_build") == []
-
-    @pytest.mark.skipif(cgen.find_compiler() is None,
-                        reason="no C compiler on this host")
-    def test_batch_under_a_deadline_does_not_wait(self, graph, monkeypatch):
-        session, c_plans = self._planned(graph, monkeypatch)
-        responses = session.submit_batch([
-            MiningRequest(pattern=pattern, deadline_s=60.0)
-            for pattern, _ in ONE_GROUP
-        ])
-        assert all(response.ok for response in responses)
-        # The fused members' plans were not resolved by the batch.
-        assert any(plan.native.entry is None for plan in c_plans)
-        cgen.wait()

@@ -1057,7 +1057,10 @@ while not os.path.exists({str(started)!r}):
 def test_a_batch_builds_only_the_plans_it_runs(profiled, monkeypatch,
                                                fresh_builds):
     """The batch compiler consults every term's plan, direct and host,
-    but runs fused ones: none of the consulted plans is built."""
+    but builds only the ones it runs; it runs each term's own plan (or
+    its copy without aux plans, which has the same source), so with
+    every plan on C a first batch builds no source that sequential
+    counts of the same patterns do not build too."""
     from repro import DecoMine
     from repro.api.messages import MiningRequest
 
@@ -1073,9 +1076,31 @@ def test_a_batch_builds_only_the_plans_it_runs(profiled, monkeypatch,
     builds = om.counter("repro_native_builds_total", "")
     before = builds.value
     patterns = [catalog.house(), catalog.diamond(), catalog.cycle(4)]
-    responses = DecoMine(graph, profile=profile).submit_batch(
-        [MiningRequest(pattern=p, induced=True) for p in patterns])
+    requests = [MiningRequest(pattern=p, induced=True) for p in patterns]
+    responses = DecoMine(graph, profile=profile).submit_batch(requests)
     cgen.wait()
     assert [r.count for r in responses] == [
         reference.count_embeddings(graph, p, induced=True) for p in patterns]
     assert ran and builds.value - before == len(ran)
+
+    monkeypatch.setattr(cgen, "NATIVE_MIN_COST", 0)
+    built = []
+    real_build = cgen._compile_and_load
+
+    def compile_and_load(source, *args):
+        built.append(source)
+        return real_build(source, *args)
+
+    monkeypatch.setattr(cgen, "_compile_and_load", compile_and_load)
+
+    def sources_built(submit):
+        monkeypatch.setattr(cgen, "_BUILDS", {})
+        built.clear()
+        submit(DecoMine(graph, profile=profile))
+        cgen.wait()
+        return set(built)
+
+    batched = sources_built(lambda session: session.submit_batch(requests))
+    sequential = sources_built(
+        lambda session: [session.submit(r) for r in requests])
+    assert batched and batched <= sequential
