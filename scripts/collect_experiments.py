@@ -84,8 +84,10 @@ EXPERIMENTS = [
      "so compilation about equals execution at 4-MC and exceeds it from "
      "5-MC up, and the shape check (CT < ET wherever ET >= 2 s) has no "
      "cell to check. The search's branch and bound skips most candidates "
-     "before optimizing them (6-MC on cs compiles in 9.2 s, down from "
-     "13.5 s on the same host). Plans are cached per session, so a "
+     "before optimizing them, and most of those before lowering them in "
+     "full (6-MC on cs compiled in 13.5 s without it, 8.8-9.9 s with "
+     "the bound on lowered trees and 6.4-7.9 s with the skeleton stage, "
+     "two runs each on one host). Plans are cached per session, so a "
      "repeated workload compiles once."),
     ("test_fig11_cost_models",
      "**Reproduced (ranking).** The approximate-mining model correlates "

@@ -17,6 +17,9 @@ semantics exactly:
 The builder also computes :class:`PlanInfo` — everything the runtime needs
 beyond the tree itself (the multiplicity divisor, partial-embedding
 layouts, ...).
+
+:func:`build_skeleton` lowers only the start of a decomposition tree, for
+the search to bound a candidate before lowering the rest of it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.patterns.isomorphism import automorphism_count, automorphisms
 from repro.patterns.pattern import Pattern
 from repro.patterns.symmetry import symmetry_breaking_restrictions
 
-__all__ = ["PlanInfo", "build_ast", "COUNT_ACC"]
+__all__ = ["PlanInfo", "build_ast", "build_skeleton", "COUNT_ACC"]
 
 #: Name of the embedding-count accumulator present in every plan.
 COUNT_ACC = "acc_count"
@@ -96,14 +99,38 @@ def build_ast(
     raise CompilationError(f"unknown spec type {type(spec).__name__}")
 
 
+def build_skeleton(
+    spec: DecompSpec,
+    mode: str = "count",
+    prefix: Callable[[Pattern, tuple[int, ...]], Pattern] | None = None,
+) -> Root:
+    """Lower the skeleton of ``spec``: its cutting-set loop nest (the
+    first PLR instance only) and, inside it, the candidate-set ops of the
+    first extension vertex.
+
+    The skeleton's nodes are the first nodes, in pre-order, of
+    ``build_ast(spec, mode, prefix)``'s tree, with the same names; its
+    innermost cutting-set loop keeps a body that is not a lone
+    accumulate.  It raises the same :class:`CompilationError` for
+    constraints that fit no subpattern.
+    """
+    if mode not in ("count", "emit"):
+        raise CompilationError(f"unknown mode {mode!r}")
+    builder = _Builder(mode, prefix or Pattern.induced_subpattern,
+                       skeleton=True)
+    return builder.build_decomp(spec)[0]
+
+
 class _Builder:
     def __init__(
         self,
         mode: str,
         prefix: Callable[[Pattern, tuple[int, ...]], Pattern],
+        skeleton: bool = False,
     ) -> None:
         self.mode = mode
         self._prefix = prefix
+        self._skeleton = skeleton
         self._set_counter = 0
         self._scalar_counter = 0
         self._vertex_counter = 0
@@ -342,6 +369,8 @@ class _Builder:
             # One compensation instance per prefix automorphism; CSE later
             # merges their shared set computations (paper section 7.2).
             position_var = [var_of[vc[j]] for j in range(plr_k)]
+            if self._skeleton:
+                prefix_automorphisms = prefix_automorphisms[:1]
             for sigma in prefix_automorphisms:
                 instance_vars = dict(var_of)
                 for j in range(plr_k):
@@ -452,6 +481,11 @@ class _Builder:
         m_vars: list[str] = []
         for index, sub in enumerate(deco.subpatterns):
             m_var = self._emit_scalar(block, "const", (0,))
+            if self._skeleton:
+                # The first candidate set ``_emit_extension_loops`` builds.
+                self._candidates(block, deco.pattern, spec.ext_orders[0][0],
+                                 list(var_of.items()), [])
+                return
             nest_metas: list[LoopMeta] = []
             leaf = self._emit_extension_loops(
                 block,

@@ -13,12 +13,15 @@ paper's structure:
   subpattern independently before full plans are assembled;
 * PLR is only attempted on cutting-set prefixes whose induced subpattern
   actually has symmetry;
-* :func:`search` is a branch and bound: each lowered candidate first gets
-  a lower bound on its optimized cost (:func:`_lower_bound`, the work no
+* :func:`search` is a branch and bound: each candidate first gets a lower
+  bound on its optimized cost (:func:`_lower_bound`, the work no
   middle-end pass removes), and one whose bound reaches the best cost so
-  far is neither optimized nor priced.  The winner and its cost are
-  exactly the exhaustive minimum's; :func:`enumerate_candidates` still
-  prices every candidate.
+  far is neither optimized nor priced.  A decomposition candidate is
+  first bounded on its skeleton (:func:`build_skeleton`, its cutting-set
+  loops), a prefix of its tree that bounds the whole, and is lowered in
+  full only when that bound does not prune it.  The winner and its cost
+  are exactly the exhaustive minimum's; :func:`enumerate_candidates`
+  still prices every candidate.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.compiler.ast_nodes import (
     Root,
     SetOp,
 )
-from repro.compiler.build import PlanInfo, build_ast
+from repro.compiler.build import PlanInfo, build_ast, build_skeleton
 from repro.compiler.passes import PassOptions, optimize
 from repro.compiler.specs import Constraint, DecompSpec, DirectSpec, PlanSpec
 from repro.costmodel import CostModel, CostProfile, estimate_cost
@@ -117,19 +120,35 @@ def search(
     """Return the cheapest candidate; raises if the space is empty.
 
     A branch and bound over :func:`enumerate_candidates`' sequence: a
-    lowered candidate whose :func:`_lower_bound` is at least the best
-    cost so far cannot win (a tie goes to the earlier candidate), so it
-    is neither optimized nor priced.  The choice and its cost are the
+    candidate whose :func:`_lower_bound` is at least the best cost so far
+    cannot win (a tie goes to the earlier candidate), so it is neither
+    optimized nor priced.  A decomposition candidate is bounded on its
+    skeleton first (:func:`_skeleton_bound`) and lowered in full only if
+    that bound is below the best cost.  The choice and its cost are the
     exhaustive minimum's, bit for bit.
     """
     memo = _SearchMemo(profile, model)
     best: PlanCandidate | None = None
-    seen = evaluated = 0
+    seen = evaluated = unlowered = 0
+    skeleton_walks: dict[tuple, float] = {}
     with span("search") as s:
-        for spec, root, info in _lowered_candidates(
-            pattern, mode, induced, constraints, options, memo
-        ):
+        for spec in _candidate_specs(pattern, induced, constraints, options,
+                                     memo, mode):
+            if best is not None and isinstance(spec, DecompSpec):
+                try:
+                    bound = _skeleton_bound(spec, mode, memo, options.passes,
+                                            skeleton_walks)
+                except CompilationError:
+                    continue  # constraint placement infeasible for this VC
+                if bound >= best.cost:
+                    seen += 1
+                    unlowered += 1
+                    continue
+            lowered = _lower(spec, mode, memo)
+            if lowered is None:
+                continue
             seen += 1
+            root, info = lowered
             if best is not None and _lower_bound(
                 spec, root, memo, options.passes
             ) >= best.cost:
@@ -138,7 +157,8 @@ def search(
             candidate = _price(spec, root, info, memo, options)
             if best is None or candidate.cost < best.cost:
                 best = candidate
-        s.set(candidates=seen, evaluated=evaluated, pruned=seen - evaluated)
+        s.set(candidates=seen, evaluated=evaluated, pruned=seen - evaluated,
+              unlowered=unlowered)
     if best is None:
         raise CompilationError(
             f"no feasible plan for {pattern!r} "
@@ -158,29 +178,36 @@ def enumerate_candidates(
 ):
     """Yield every evaluated candidate (used directly by Figure 19)."""
     memo = _SearchMemo(profile, model)
-    for spec, root, info in _lowered_candidates(
-        pattern, mode, induced, constraints, options, memo
-    ):
-        yield _price(spec, root, info, memo, options)
+    for spec in _candidate_specs(pattern, induced, constraints, options,
+                                 memo, mode):
+        lowered = _lower(spec, mode, memo)
+        if lowered is not None:
+            yield _price(spec, *lowered, memo, options)
 
 
-def _lowered_candidates(pattern, mode, induced, constraints, options, memo):
-    """``(spec, root, info)`` for every candidate, in search order."""
+def _candidate_specs(pattern, induced, constraints, options, memo, mode):
+    """Every candidate spec, in search order: the direct specs, then the
+    pre-ranked decomposition specs."""
     if options.enable_direct:
-        for spec in _direct_specs(pattern, induced, constraints, options,
-                                  memo):
-            yield (spec, *build_ast(spec, mode, memo.prefix))
+        yield from _direct_specs(pattern, induced, constraints, options, memo)
     if options.enable_decomposition and not induced and pattern.n >= 3:
         ranked = sorted(
             _decomp_specs(pattern, memo, constraints, options, mode),
             key=lambda pair: pair[0],
         )
         for _prelim, spec in ranked[: options.full_eval_limit]:
-            try:
-                root, info = build_ast(spec, mode, memo.prefix)
-            except CompilationError:
-                continue  # constraint placement infeasible for this VC
-            yield spec, root, info
+            yield spec
+
+
+def _lower(spec, mode, memo):
+    """``build_ast(spec)``, or None for a decomposition spec whose
+    constraints fit none of its subpatterns."""
+    try:
+        return build_ast(spec, mode, memo.prefix)
+    except CompilationError:
+        if isinstance(spec, DirectSpec):
+            raise
+        return None
 
 
 class _SearchMemo(CostModel):
@@ -304,7 +331,32 @@ _ROUNDING = 1.0 - 1e-12
 
 def _lower_bound(spec, root, memo, passes: PassOptions) -> float:
     """A price that ``estimate_cost`` of any optimized form of ``root``
-    reaches, computed on the lowered tree without running the passes.
+    reaches, computed on the lowered tree without running the passes:
+    :func:`_walk_bound` plus the spec's global-correction counts."""
+    return _plus_global_counts(_walk_bound(root, memo, passes), spec, memo)
+
+
+def _skeleton_bound(spec, mode, memo, passes, walks) -> float:
+    """:func:`_lower_bound` of ``spec``'s skeleton, at most the bound of
+    its whole tree.
+
+    The skeleton is a pre-order prefix of the tree, and the walk adds
+    non-negative terms in pre-order, so it sums a prefix of the tree's
+    terms.  Its innermost cutting-set loop is no counting loop in either,
+    so every loop is charged alike.  The two ``include_shrinkages``
+    variants of a cutting-set order share one skeleton, so ``walks``
+    keeps each walk for the other.
+    """
+    key = (id(spec.decomposition), spec.vc_order, spec.plr_k)
+    walk = walks.get(key)
+    if walk is None:
+        skeleton = build_skeleton(spec, mode, memo.prefix)
+        walk = walks[key] = _walk_bound(skeleton, memo, passes)
+    return _plus_global_counts(walk, spec, memo)
+
+
+def _walk_bound(root, memo, passes: PassOptions) -> float:
+    """The part of :func:`_lower_bound` that walks ``root``.
 
     It counts only what no pass removes, each at the fewest entries any
     pass could move it to:
@@ -325,8 +377,12 @@ def _lower_bound(spec, root, memo, passes: PassOptions) -> float:
     Iteration counts come from the same memo as the cost, at the
     oriented cap for a loop whose source may be oriented.  The walk
     asks the memo for the loops and guards ``estimate_cost`` will price,
-    in the order it prices them, so a pruned candidate leaves the
-    profile's on-demand estimates exactly as pricing it would have.
+    in the order it prices them, so a candidate pruned on its tree leaves
+    the profile's on-demand estimates exactly as pricing it would have.
+    A skeleton's walk asks for the first of them only; the spec-level
+    ranking has already looked up every prefix a decomposition tree
+    loops over, so the rest would fire no estimate either
+    (``tests/test_search_estimates.py``).
     """
     profile = memo.profile
     oriented = passes.orient != "none"
@@ -418,8 +474,7 @@ def _lower_bound(spec, root, memo, passes: PassOptions) -> float:
                 total += nested(node.body, entries)
         return total
 
-    bound = walk(root.body, 1.0) * _ROUNDING
-    return _plus_global_counts(bound, spec, memo)
+    return walk(root.body, 1.0) * _ROUNDING
 
 
 def _may_orient(op: str, args: tuple, orientable: set[str]) -> bool:

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
 from repro.baselines import reference
-from repro.compiler.ast_nodes import EmitPartial, HashAdd, IfPositive, Loop, walk
-from repro.compiler.build import COUNT_ACC, build_ast
+from repro.compiler.ast_nodes import (
+    EmitPartial,
+    HashAdd,
+    IfPositive,
+    IfPred,
+    Loop,
+    SetOp,
+    walk,
+)
+from repro.compiler.build import COUNT_ACC, build_ast, build_skeleton
 from repro.compiler.interpreter import run_interpreter
 from repro.compiler.specs import Constraint, DecompSpec, DirectSpec
 from repro.exceptions import CompilationError
@@ -232,6 +241,8 @@ class TestConstraintsInBuild:
         )
         with pytest.raises(CompilationError):
             build_ast(spec, "count")
+        with pytest.raises(CompilationError):
+            build_skeleton(spec, "count")
 
     def test_constrained_direct_count(self, small_random_graph):
         pattern = catalog.chain(3)
@@ -247,3 +258,49 @@ class TestConstraintsInBuild:
             if a[0] < a[2]:
                 expected += 1
         assert raw == expected
+
+
+def _preorder(root):
+    """The nodes below ``root`` in pre-order, each without its body."""
+    return [replace(node, body=[]) if hasattr(node, "body") else node
+            for node in list(walk(root))[1:]]
+
+
+class TestSkeleton:
+    """``build_skeleton`` lowers the first nodes of ``build_ast``'s tree,
+    which is what lets the search bound a candidate on its skeleton."""
+
+    @pytest.mark.parametrize("mode", ["count", "emit"])
+    @pytest.mark.parametrize("pattern", [
+        catalog.house(), catalog.bowtie(), catalog.figure6_pattern(),
+        catalog.chain(5), catalog.cycle(6), catalog.star(4),
+    ], ids=lambda p: p.name)
+    def test_skeleton_is_a_preorder_prefix(self, pattern, mode):
+        for which, deco in enumerate(all_decompositions(pattern)):
+            for plr_k in range(len(deco.cutting_set) + 1):
+                spec = first_decomp_spec(pattern, which, plr_k)
+                skeleton = _preorder(build_skeleton(spec, mode))
+                full = _preorder(build_ast(spec, mode)[0])
+                assert skeleton == full[: len(skeleton)]
+                assert len(skeleton) < len(full)
+                # It ends in the first extension vertex's candidate set,
+                # inside every cutting-set loop.
+                assert isinstance(skeleton[-1], SetOp)
+                loops = [n for n in skeleton if isinstance(n, Loop)]
+                assert [loop.meta.role for loop in loops] == (
+                    ["vc"] * len(deco.cutting_set))
+
+    def test_constrained_skeleton_is_a_preorder_prefix(self):
+        pattern = catalog.house()
+        deco = all_decompositions(pattern)[0]
+        vc = deco.cutting_set
+        component = deco.subpatterns[0].component
+        spec = replace(
+            first_decomp_spec(pattern),
+            constraints=(Constraint(0, (vc[0], vc[1])),
+                         Constraint(1, (vc[0], component[0]))),
+        )
+        skeleton = _preorder(build_skeleton(spec))
+        full = _preorder(build_ast(spec)[0])
+        assert skeleton == full[: len(skeleton)]
+        assert any(isinstance(node, IfPred) for node in skeleton)
