@@ -87,8 +87,11 @@ EXPERIMENTS = [
      "before optimizing them, and most of those before lowering them in "
      "full (6-MC on cs compiled in 13.5 s without it, 8.8-9.9 s with "
      "the bound on lowered trees and 6.4-7.9 s with the skeleton stage, "
-     "two runs each on one host). Plans are cached per session, so a "
-     "repeated workload compiles once."),
+     "two runs each on one host). Bulk sampling draws and a step table "
+     "for the spec-level ranking, which move no estimate, took it from "
+     "7.5-8.3 s to 5.5-6.8 s (two runs each, alternating, on one "
+     "host). Plans are cached per session, so a repeated workload "
+     "compiles once."),
     ("test_fig11_cost_models",
      "**Reproduced (ranking).** The approximate-mining model correlates "
      "best with measured runtimes and its selected plans are at least "

@@ -2,8 +2,11 @@
 
 The search space has two algorithm-level axes: how to decompose the
 pattern (which vertex cutting set, including "don't decompose") and the
-matching orders.  Every candidate is lowered to an AST, optimized by the
-middle end, and priced by the cost model; the cheapest wins.
+matching orders.  The candidates are the direct plans and the
+decomposition plans a closed-form spec-level estimate ranks cheapest.
+Each is bounded from below, and only one the bound cannot rule out is
+optimized by the middle end and priced by the cost model; the cheapest
+priced candidate wins.
 
 Three scoping devices keep the search fast, the first two mirroring the
 paper's structure:
@@ -131,6 +134,7 @@ def search(
     best: PlanCandidate | None = None
     seen = evaluated = unlowered = 0
     skeleton_walks: dict[tuple, float] = {}
+    known = len(profile.counts)
     with span("search") as s:
         for spec in _candidate_specs(pattern, induced, constraints, options,
                                      memo, mode):
@@ -158,7 +162,7 @@ def search(
             if best is None or candidate.cost < best.cost:
                 best = candidate
         s.set(candidates=seen, evaluated=evaluated, pruned=seen - evaluated,
-              unlowered=unlowered)
+              unlowered=unlowered, estimates=len(profile.counts) - known)
     if best is None:
         raise CompilationError(
             f"no feasible plan for {pattern!r} "
@@ -195,8 +199,17 @@ def _candidate_specs(pattern, induced, constraints, options, memo, mode):
             _decomp_specs(pattern, memo, constraints, options, mode),
             key=lambda pair: pair[0],
         )
-        for _prelim, spec in ranked[: options.full_eval_limit]:
-            yield spec
+        for _prelim, (deco, vc_order, ext, plr_k, include) in ranked[
+            : options.full_eval_limit
+        ]:
+            yield DecompSpec(
+                decomposition=deco,
+                vc_order=vc_order,
+                ext_orders=ext,
+                plr_k=plr_k,
+                constraints=constraints,
+                include_shrinkages=include,
+            )
 
 
 def _lower(spec, mode, memo):
@@ -218,8 +231,9 @@ class _SearchMemo(CostModel):
     wrapper prices each distinct loop once and stands in for the model
     wherever the search prices: :func:`estimate_cost` walks candidate
     trees with it, and the spec-level helpers below read it directly.
-    It also keeps the searched patterns' induced prefixes and each
-    quotient's global count estimate.  Every value is exactly what the
+    It also keeps the searched patterns' induced prefixes, the price of
+    each spec-level step (:meth:`step`) and each quotient's global count
+    estimate.  Every value is exactly what the
     uncached call returns, so plan choices and their costs do not change.
 
     The memo is bound to one profile and dies with its call.  It is never
@@ -235,6 +249,7 @@ class _SearchMemo(CostModel):
         self.model = model
         self._iterations: dict[tuple, float] = {}
         self._prefixes: dict[tuple, Pattern] = {}
+        self._steps: dict[tuple, float] = {}
         self._global_counts: dict[Pattern, float] = {}
 
     def level_iterations(self, meta: LoopMeta, profile: CostProfile) -> float:
@@ -255,13 +270,24 @@ class _SearchMemo(CostModel):
             self._iterations[key] = value
         return value
 
-    def loop_iterations(self, prefix: Pattern, role: str) -> float:
-        """Adjusted iterations of an untrimmed loop binding the last
-        vertex of ``prefix`` (the spec-level estimates' loops)."""
-        last = prefix.n - 1
-        meta = LoopMeta(prefix=prefix, constraint_degree=prefix.degree(last),
-                        label=prefix.label_of(last), role=role)
-        return self.adjusted_iterations(meta, self.profile)
+    def step(self, pattern: Pattern, matched: tuple[int, ...],
+             role: str) -> float:
+        """Adjusted iterations, at least ``1e-9``, of an untrimmed
+        spec-level loop binding the last of ``matched`` in ``pattern``
+        (the loop over its induced prefix).  The first request prices
+        the step, so the profile is asked what it was always asked, in
+        the same order; a repeat builds no prefix and no loop metadata."""
+        key = (pattern, matched, role)
+        value = self._steps.get(key)
+        if value is None:
+            prefix = self.prefix(pattern, matched)
+            last = prefix.n - 1
+            meta = LoopMeta(prefix=prefix,
+                            constraint_degree=prefix.degree(last),
+                            label=prefix.label_of(last), role=role)
+            value = self._steps[key] = max(
+                self.adjusted_iterations(meta, self.profile), 1e-9)
+        return value
 
     def prefix(self, pattern: Pattern, vertices: tuple[int, ...]) -> Pattern:
         """``pattern.induced_subpattern(vertices)``, built once."""
@@ -563,13 +589,8 @@ def _direct_order_candidates(pattern, memo, limit):
             for v in range(n):
                 if v in matched or not (pattern.neighbors(v) & matched):
                     continue
-                iterations = max(
-                    memo.loop_iterations(
-                        memo.prefix(pattern, order + (v,)), "direct"
-                    ),
-                    1e-9,
-                )
-                entries = cumulative * iterations
+                entries = cumulative * memo.step(pattern, order + (v,),
+                                                 "direct")
                 grown.append((order + (v,), entries, cost + entries))
         grown.sort(key=lambda s: s[2])
         states = grown[:width]
@@ -589,11 +610,13 @@ def _direct_order_candidates(pattern, memo, limit):
 # ----------------------------------------------------------------------
 
 def _decomp_specs(pattern, memo, constraints, options, mode):
-    """Yield ``(preliminary_cost, spec)`` pairs for all decompositions.
+    """Yield ``(preliminary_cost, fields)`` pairs for all decompositions,
+    where ``fields`` is ``(decomposition, vc_order, ext_orders, plr_k,
+    include_shrinkages)``.
 
     The preliminary cost is a closed-form spec-level estimate (no AST is
-    built); the caller pre-ranks on it and fully evaluates only the top
-    candidates.
+    built); the caller pre-ranks on it and builds a :class:`DecompSpec`
+    only for the top candidates it goes on to evaluate.
     """
     induced = functools.partial(memo.prefix, pattern)
     for deco in all_decompositions(pattern):
@@ -643,14 +666,7 @@ def _decomp_specs(pattern, memo, constraints, options, mode):
                                 for s in deco.shrinkages
                             )
                         prelim = vc_cost + ec_count * body + global_shrinkage
-                    yield prelim, DecompSpec(
-                        decomposition=deco,
-                        vc_order=vc_order,
-                        ext_orders=ext,
-                        plr_k=plr_k,
-                        constraints=constraints,
-                        include_shrinkages=include,
-                    )
+                    yield prelim, (deco, vc_order, ext, plr_k, include)
 
 
 def _gated_body_cost(ext_choices) -> float:
@@ -752,8 +768,7 @@ def _order_cost(memo, pattern, anchored, order, role) -> tuple[float, float]:
     cost = 0.0
     for v in order:
         matched += (v,)
-        iterations = memo.loop_iterations(memo.prefix(pattern, matched), role)
-        cumulative *= max(iterations, 1e-9)
+        cumulative *= memo.step(pattern, matched, role)
         cost += cumulative
     return cost, cumulative
 

@@ -48,10 +48,15 @@ class ApproxMiningCostModel(CostModel):
         A disconnected prefix arises when the cutting set itself is
         disconnected (its vertices are matched from the full vertex set);
         its count is approximated by the product of its components'
-        counts, which is exact up to lower-order overlap terms.
+        counts, which is exact up to lower-order overlap terms.  A
+        connected prefix is its own only component, so it is looked up
+        as it is; a single vertex counts the graph's vertices, not the
+        sample's.
         """
         if pattern.n == 0:
             return 1.0
+        if pattern.n > 1 and pattern.is_connected:
+            return profile.lookup(pattern)
         total = 1.0
         for component in pattern.connected_components():
             if len(component) == 1:

@@ -118,7 +118,10 @@ def profile_graph(
     ``sampler`` may be ``"edge"`` (the paper's choice) or ``"vertex"``
     (the ablation).  ``p_local`` overrides the measured locality
     probability, matching the paper's user-settable parameter.
+    ``trials`` is the neighbor-sampling budget per pattern, at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     started = time.perf_counter()
     measured_p_local = (
         p_local

@@ -90,6 +90,15 @@ class TestSampling:
             clustered_graph, catalog.chain(2).induced_subpattern([0])
         ) == clustered_graph.num_vertices
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_a_trial_budget_below_one_is_refused(self, clustered_graph,
+                                                 trials):
+        with pytest.raises(ValueError, match="trials"):
+            estimate_injective_homomorphisms(
+                clustered_graph, catalog.triangle(), trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            profile_graph(clustered_graph, trials=trials)
+
 
 class TestProfiler:
     def test_table_covers_all_small_patterns(self, profile):

@@ -83,6 +83,18 @@ class TestApproxModel:
         meta = LoopMeta(prefix=Pattern(1, []))
         assert ApproxMiningCostModel().level_iterations(meta, profile) == 777
 
+    def test_single_vertex_parent_counts_the_graph(self):
+        # A sampled profile's count of one vertex is the sample's vertex
+        # count; an edge's parent must count the graph's vertices.
+        edge = catalog.chain(2)
+        counts = {canonical_code(Pattern(1, [])): 37.0,
+                  canonical_code(edge): 500.0}
+        profile = make_profile(n=1000, counts=counts)
+        meta = LoopMeta(prefix=edge, constraint_degree=1)
+        assert ApproxMiningCostModel().level_iterations(
+            meta, profile
+        ) == pytest.approx(0.5)
+
     def test_disconnected_prefix_factorizes(self):
         edge = catalog.chain(2)
         counts = {canonical_code(edge): 100.0}

@@ -133,21 +133,29 @@ def test_bound_holds_under_degeneracy_orientation(pattern, cs_profile,
 
 def test_search_span_counts_skeleton_pruning(cs_profile):
     """``candidates`` counts every enumerated candidate, lowered or not;
-    ``unlowered`` the pruned ones whose tree was never lowered."""
+    ``unlowered`` the pruned ones whose tree was never lowered;
+    ``estimates`` the on-demand estimates the search added to the
+    profile."""
     from repro.observe import trace
 
     pattern = catalog.house()
     model = get_model("approx_mining")
     enumerated = list(search_module.enumerate_candidates(
         pattern, _own(cs_profile), model))
+    searched_profile = _own(cs_profile)
     trace.enable("search-span")
     try:
-        search_module.search(pattern, _own(cs_profile), model)
+        search_module.search(pattern, searched_profile, model)
+        search_module.search(pattern, searched_profile, model)
     finally:
         recorded = trace.disable()
-    [searched] = recorded.find("search")
-    attrs = searched.attrs
+    first, again = recorded.find("search")
+    attrs = first.attrs
     assert attrs["candidates"] == len(enumerated)
-    assert attrs["evaluated"] == len(recorded.find("candidate"))
+    assert attrs["evaluated"] + again.attrs["evaluated"] == len(
+        recorded.find("candidate"))
     assert attrs["pruned"] == attrs["candidates"] - attrs["evaluated"]
     assert 0 < attrs["unlowered"] <= attrs["pruned"]
+    added = len(searched_profile.counts) - len(cs_profile.counts)
+    assert attrs["estimates"] == added > 0
+    assert again.attrs["estimates"] == 0
