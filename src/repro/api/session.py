@@ -119,6 +119,10 @@ class DecoMine:
         self._profile = profile
         self._profile_seed = profile_seed
         self._plan_cache: dict = {}
+        #: Plan keys by request, ``(pattern, name, mode, induced,
+        #: constraints, orientation) -> key``: the graph, the model and
+        #: the search options are fixed for the session's lifetime.
+        self._plan_keys: dict[tuple, str] = {}
         #: Batch nodes' aux-stripped plan copies: id(plan) -> (plan, copy).
         self._stripped_plans: dict[int, tuple] = {}
 
@@ -180,17 +184,20 @@ class DecoMine:
             # emit/constrained plans compile unoriented and the engine
             # strips the option at execution time (see _execute).
             orientation = options.orientation
-        fingerprint = graph_fingerprint(self.graph)
-        key = plan_key(
-            pattern,
-            graph_fingerprint=fingerprint,
-            model_name=getattr(self.model, "name", str(self.model)),
-            mode=mode,
-            induced=induced,
-            constraints=constraints,
-            options=self.options,
-            orientation=orientation,
-        )
+        request = (pattern, pattern.name, mode, induced, constraints,
+                   orientation)
+        key = self._plan_keys.get(request)
+        if key is None:
+            key = self._plan_keys[request] = plan_key(
+                pattern,
+                graph_fingerprint=graph_fingerprint(self.graph),
+                model_name=getattr(self.model, "name", str(self.model)),
+                mode=mode,
+                induced=induced,
+                constraints=constraints,
+                options=self.options,
+                orientation=orientation,
+            )
         plan = self._plan_cache.get(key)
         hit = plan is not None
         if plan is None:
@@ -199,7 +206,7 @@ class DecoMine:
                     pattern,
                     lambda: self._profile_for(orientation),
                     self.model,
-                    graph_fingerprint=fingerprint,
+                    graph_fingerprint=graph_fingerprint(self.graph),
                     mode=mode,
                     induced=induced,
                     constraints=constraints,

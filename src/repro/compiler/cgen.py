@@ -60,11 +60,18 @@ When to build
 
 Safety
     The C loop reads the run's cancel-token byte on every outer
-    iteration and returns to :func:`run` at least every
-    :data:`SLICE_NS` with a resume index, so governor polls and signal
-    handlers still run.  An ``int64`` overflow (or a division the C
-    side cannot do exactly) reruns the chunk through ``plan.function``,
-    which yields Python's exact big-integer count or its exception.
+    iteration and returns to :func:`run` with a resume index once a
+    :data:`SLICE_NS` slice has passed, so governor polls and signal
+    handlers still run.  The clock is read every ``stride`` outer
+    iterations: the stride starts at 1, doubles (up to 64) after a read
+    that finds the last stride took under ``SLICE_NS / 64``, and falls
+    back to 1 after any other read.  So a slice overruns by at most one
+    stride, a stride grows only while its iterations are cheap, and a
+    ``SLICE_NS`` of 0 still returns after every iteration.  On an
+    ``int64`` overflow (or a division the C side cannot do exactly)
+    :func:`run` returns no accumulators, and the engine reruns the chunk
+    through ``plan.function``, which yields Python's exact big-integer
+    count or its exception.
 
 Build cache
     Builds are kept per process, keyed by ``sha256(source, compiler
@@ -143,7 +150,8 @@ NATIVE_MIN_COST = 1e4
 #: body needs a proportionally larger predicted cost.
 NATIVE_BODY_BYTES = 4096
 
-#: Longest stretch the C loop runs before returning to :func:`run`.
+#: Time slice after which the C loop returns to :func:`run` (its clock
+#: is read on a stride; see Safety above).
 SLICE_NS = 10_000_000
 
 #: Compiler flags; part of the build key.
@@ -278,63 +286,84 @@ def _address(array) -> int:
     return array.ctypes.data
 
 
+def _graph_args(graph) -> tuple:
+    """The entry-point arguments fixed by the graph, checked once and
+    kept on it: ``(indptr, indices, split, verts)`` addresses (``split``
+    None on an unoriented graph), ``|V|``, the max degree, and the
+    vertex array the ``verts`` address points into."""
+    args = graph._native_args
+    if args is None:
+        verts = graph.vertices()
+        split = getattr(graph, "_split", None)
+        args = graph._native_args = (
+            _address(graph.indptr), _address(graph.indices),
+            None if split is None else _address(split), _address(verts),
+            graph.num_vertices, graph.max_degree, verts,
+        )
+    return args
+
+
 def run(plan, native: Target, graph, ctx, start=None, stop=None
-        ) -> dict[str, int]:
+        ) -> tuple[dict[str, int] | None, dict[str, int]]:
     """Run outer-loop positions ``[start, stop)`` of ``plan`` natively.
 
-    Returns to Python every :data:`SLICE_NS` to poll ``ctx``; a set
-    cancel byte raises the governor's ``ChunkCancelled``; an inexact
-    result reruns the range through ``plan.function``.
+    Returns ``(accumulators, counters)``: ``counters`` maps each
+    ``KernelStats`` field to the set ops this run made, which are also
+    added to the thread's ``STATS``.  Returns to Python every
+    :data:`SLICE_NS` to poll ``ctx``; a set cancel byte raises the
+    governor's ``ChunkCancelled``.  ``accumulators`` is None when the
+    result is inexact: the caller reruns the range through
+    ``plan.function``.
     """
     lo = 0 if start is None else start
     hi = _I64_MAX if stop is None else stop
-    num_vertices, max_degree = graph.num_vertices, graph.max_degree
-    # One slack slot per buffer: a filter writes one past its last hit.
-    scratch = np.empty(
-        1 + native.degree_buffers * (max_degree + 1)
+    indptr, indices, split, verts, num_vertices, max_degree, _ = \
+        _graph_args(graph)
+    if not native.uses_split:
+        split = None
+    elif split is None:
+        raise ValueError("an oriented native plan needs an oriented graph")
+    # One zeroed buffer per call, as threads run entry points
+    # concurrently: the accumulators, the set-op counters, the resume
+    # index, then the scratch, with one slack slot per buffer (a filter
+    # writes one past its last hit).
+    accs = max(1, len(native.accumulators))
+    counters = accs + len(_STAT_FIELDS)
+    buffer = (ctypes.c_int64 * (
+        counters + 2 + native.degree_buffers * (max_degree + 1)
         + native.vertex_buffers * (num_vertices + 1)
-        + native.bitmaps * ((num_vertices >> 6) + 1), dtype=np.int64,
-    )
-    verts = graph.vertices()
-    split = graph._split if native.uses_split else None
-    acc = np.zeros(max(1, len(native.accumulators)), dtype=np.int64)
-    stats = np.zeros(len(_STAT_FIELDS), dtype=np.int64)
-    resume = np.zeros(1, dtype=np.int64)
+        + native.bitmaps * ((num_vertices >> 6) + 1)))()
+    acc = ctypes.addressof(buffer)
+    resume = acc + 8 * counters
     token = ctx.resources.token if ctx.resources is not None else None
     cancel = None
     try:
         if token is not None:
             cancel = token.flag()
+        flag = None if cancel is None else ctypes.addressof(cancel)
         while True:
             status = native.entry(
-                _address(graph.indptr), _address(graph.indices),
-                None if split is None else _address(split),
-                _address(verts), num_vertices, lo, hi, max_degree,
-                _address(scratch),
-                None if cancel is None else ctypes.addressof(cancel),
-                SLICE_NS, _address(acc), _address(stats), _address(resume),
+                indptr, indices, split, verts, num_vertices, lo, hi,
+                max_degree, resume + 8, flag, SLICE_NS, acc, acc + 8 * accs,
+                resume,
             )
-            if status == _DONE:
+            if status == _DONE or status == _INEXACT:
                 break
-            if status == _INEXACT:
-                _add_stats(stats)
-                return plan.function(graph, ctx, start, stop)
             if status == _CANCELLED:
                 ctx.resources.check_cancel()
             else:
                 ctx.poll_cancel()
-            lo = int(resume[0])
+            lo = buffer[counters]
     finally:
         # Drop the buffer export before the token can be closed.
         del cancel
-    _add_stats(stats)
-    return dict(zip(native.accumulators, acc.tolist()))
-
-
-def _add_stats(stats) -> None:
-    for name, value in zip(_STAT_FIELDS, stats.tolist()):
+    stats = dict(zip(_STAT_FIELDS, buffer[accs:counters]))
+    for name, value in stats.items():
         if value:
             setattr(STATS, name, getattr(STATS, name) + value)
+    if status == _INEXACT:
+        return None, stats
+    return dict(zip(native.accumulators, buffer[:accs])), stats
 
 
 # ----------------------------------------------------------------------
@@ -617,6 +646,23 @@ static inline i64 now_ns(void) {
     struct timespec t;
     clock_gettime(CLOCK_MONOTONIC, &t);
     return (i64)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+/* The time slice's clock, read every `stride` outer iterations.  The
+ * stride starts at 1, doubles (up to 64) after a read that finds it
+ * took under slice_ns / 64, and falls back to 1 after any other read,
+ * so a slice of 0 still ends after every iteration. */
+typedef struct { i64 started, last, stride, left; } slice_t;
+
+static inline int slice_over(slice_t *c, i64 slice_ns) {
+    if (--c->left > 0) return 0;
+    i64 now = now_ns();
+    if (now - c->started >= slice_ns) return 1;
+    if (now - c->last >= slice_ns >> 6) c->stride = 1;
+    else if (c->stride < 64) c->stride <<= 1;
+    c->left = c->stride;
+    c->last = now;
+    return 0;
 }
 
 /* First index whose element is >= x. */
@@ -1164,6 +1210,7 @@ class _Lowering:
                        if name in self.helpers),
             _SIGNATURE, *decls, *buffers,
             "    i64 started = now_ns();",
+            "    slice_t slice = {started, started, 1, 1};",
             *self.lines,
             "    return 0;",
             "inexact:",
@@ -1238,7 +1285,7 @@ class _Lowering:
         ]
         self._loop_body(loop.body, 2)
         self.lines += [
-            f"        if (now_ns() - started >= slice_ns && {index} + 1 < hi)"
+            f"        if ({index} + 1 < hi && slice_over(&slice, slice_ns))"
             f" {{ *resume = {index} + 1; return 1; }}",
             "    }",
         ]

@@ -36,6 +36,7 @@ class CSRGraph:
         "indptr", "indices", "labels", "name", "_label_index",
         "_neighbor_views", "_degrees", "_fingerprint", "_degree_prefix",
         "_oriented_cache", "shared_descriptor", "_adjacency_lists",
+        "_max_degree", "_native_args",
     )
 
     def __init__(
@@ -60,6 +61,10 @@ class CSRGraph:
         self._degree_prefix: np.ndarray | None = None
         self._oriented_cache: dict | None = None
         self._adjacency_lists: tuple[list[int], ...] | None = None
+        self._max_degree: int | None = None
+        #: The C entry points' per-graph arguments, filled in by
+        #: :mod:`repro.compiler.cgen`.
+        self._native_args: tuple | None = None
         #: Set by :mod:`repro.graph.shared` when this CSR is a view over
         #: a shared-memory segment owned by a long-lived holder (the
         #: serve daemon) — parallel runs then reuse that segment instead
@@ -117,8 +122,12 @@ class CSRGraph:
 
     @property
     def max_degree(self) -> int:
-        d = self.degrees
-        return int(d.max()) if d.size else 0
+        """Largest vertex degree (computed once, cached)."""
+        top = self._max_degree
+        if top is None:
+            d = self.degrees
+            top = self._max_degree = int(d.max()) if d.size else 0
+        return top
 
     @property
     def avg_degree(self) -> float:

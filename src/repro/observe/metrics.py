@@ -187,8 +187,6 @@ class MetricsRegistry:
         self._metrics: dict[str, object] = {}
 
     def _get(self, cls, name: str, help: str, **kwargs):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -198,15 +196,19 @@ class MetricsRegistry:
                     f"{cls.kind}"
                 )
             if cls is Histogram:
-                requested = tuple(sorted(kwargs.get("buckets",
-                                                    DEFAULT_BUCKETS)))
+                requested = kwargs.get("buckets", DEFAULT_BUCKETS)
                 if requested != existing.buckets:
-                    raise ReproError(
-                        f"histogram {name!r} is already registered with "
-                        f"buckets {existing.buckets}; cannot re-register "
-                        f"it with buckets {requested}"
-                    )
+                    requested = tuple(sorted(requested))
+                    if requested != existing.buckets:
+                        raise ReproError(
+                            f"histogram {name!r} is already registered "
+                            f"with buckets {existing.buckets}; cannot "
+                            f"re-register it with buckets {requested}"
+                        )
             return existing
+        # Only a name that is not registered yet needs checking.
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid metric name {name!r}")
         instrument = cls(name, help, **kwargs)
         self._metrics[name] = instrument
         return instrument

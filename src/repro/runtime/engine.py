@@ -13,9 +13,10 @@ the supervisor's serial path — runs through one function,
 cancelled run, fires the fault plan, dispatches to the executor, and
 takes that chunk's kernel (:data:`repro.runtime.setops.STATS`),
 vectorized (:data:`repro.runtime.vectorops.VSTATS`) and memo-cache
-counter deltas.  The kernel counters are per-thread, so runs on
-concurrent threads never count each other's calls.  Worker spans travel
-back through the per-chunk result channel.
+counter deltas (a C entry point counts its own set ops, which are the
+chunk's kernel delta as they stand).  The kernel counters are
+per-thread, so runs on concurrent threads never count each other's
+calls.  Worker spans travel back through the per-chunk result channel.
 
 :func:`_execute` runs as named stages: validate the mode, orient, open
 the governor scope, sweep the chunks (supervised or inline), publish,
@@ -46,6 +47,7 @@ balance, from which the multi-core speedup curve follows.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import time
@@ -62,6 +64,8 @@ from repro.compiler.pipeline import CompiledPlan
 from repro.exceptions import ExecutionError, ReproError
 from repro.graph.csr import CSRGraph
 from repro.graph.transform import ORIENTATIONS, OrientedGraph, orient
+from repro.observe import ledger as ledger_mod
+from repro.observe import metrics as om
 from repro.observe.trace import (
     begin_worker_trace,
     span,
@@ -80,6 +84,7 @@ from repro.runtime.supervisor import (
     RunPolicy,
     Supervisor,
     SupervisorOutcome,
+    _add_counts,
 )
 from repro.runtime.vectorized import run_vectorized
 
@@ -194,23 +199,20 @@ class ExecutionMetrics:
     @property
     def cache_hit_rate(self) -> float:
         """Set-op memo cache hit rate over this execution (0.0 if off)."""
-        hits = self.kernel_stats.get("cache_hits", 0)
-        lookups = hits + self.kernel_stats.get("cache_misses", 0)
-        return hits / lookups if lookups else 0.0
+        return _hit_rate(self.kernel_stats)
 
     @property
     def kernel_calls(self) -> int:
         """Total set-op kernel invocations during this execution."""
-        return sum(
-            self.kernel_stats.get(name, 0) for name in setops.KernelStats.FIELDS
-        )
+        return _kernel_calls(self.kernel_stats)
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot (JSON-ready)."""
+        stats = self.kernel_stats.copy()
         return {
-            "kernel_stats": dict(self.kernel_stats),
-            "kernel_calls": self.kernel_calls,
-            "cache_hit_rate": self.cache_hit_rate,
+            "kernel_stats": stats,
+            "kernel_calls": _kernel_calls(stats),
+            "cache_hit_rate": _hit_rate(stats),
             "retries": self.retries,
             "resumed_chunks": self.resumed_chunks,
             "pool_restarts": self.pool_restarts,
@@ -219,6 +221,16 @@ class ExecutionMetrics:
             "watchdog_kills": self.watchdog_kills,
             "frontier_downshifts": self.frontier_downshifts,
         }
+
+
+def _hit_rate(stats: Mapping[str, int]) -> float:
+    hits = stats.get("cache_hits", 0)
+    lookups = hits + stats.get("cache_misses", 0)
+    return hits / lookups if lookups else 0.0
+
+
+def _kernel_calls(stats: Mapping[str, int]) -> int:
+    return sum([stats.get(name, 0) for name in setops.KernelStats.FIELDS])
 
 
 class ExecutionResult:
@@ -500,27 +512,29 @@ _COUNTER_METRICS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _stat_metric(key: str) -> str:
+    """The registry counter a kernel, vectorized or cache stat feeds."""
+    if key.startswith("cache_"):
+        return f"repro_setop_cache_{key[6:]}_total"
+    if key.startswith("vec_"):
+        return f"repro_vectorized_{key[4:]}_total"
+    return f"repro_setops_{key}_total"
+
+
 def _publish_metrics(tally: SupervisorOutcome) -> None:
     """Fold one execution's telemetry delta into the global registry.
 
     Batched per run (not per kernel call), so the cost is a handful of
     dictionary operations regardless of workload size.
     """
-    from repro.observe import metrics as om
-
     om.counter(
         "repro_executions_total", "plan executions (aux plans counted)"
     ).inc()
     for key, value in tally.stats.items():
-        if not value:
-            continue
-        if key.startswith("cache_"):
-            name = f"repro_setop_cache_{key[6:]}_total"
-        elif key.startswith("vec_"):
-            name = f"repro_vectorized_{key[4:]}_total"
-        else:
-            name = f"repro_setops_{key}_total"
-        om.counter(name, "set-op kernel telemetry (per-run delta)").inc(value)
+        if value:
+            om.counter(_stat_metric(key),
+                       "set-op kernel telemetry (per-run delta)").inc(value)
     for field_name, (name, help_text) in _COUNTER_METRICS.items():
         value = getattr(tally, field_name)
         if value:
@@ -568,15 +582,16 @@ def execute_plan(
     options = options if options is not None else EngineOptions()
     budget, checkpoint, resources = _resolve_policy(policy)
     return _execute(plan, graph, ctx, options, budget, checkpoint,
-                    resources, aux=False)
+                    resources, aux=False)[1]
 
 
 def _execute(plan, graph, ctx, options, budget, checkpoint, resources, *,
-             aux: bool) -> ExecutionResult:
+             aux: bool) -> tuple[SupervisorOutcome, ExecutionResult | None]:
     """One execution with an already-resolved policy, as named stages:
     validate the mode, orient, open the governor scope, sweep the chunks
     (supervised or inline), publish, fold the aux corrections in, and
-    build the result and its ledger record.
+    build the result and its ledger record.  Returns the run's tally and
+    its result (see :func:`_finish`).
 
     ``aux`` marks a shrinkage-correction execution (see
     ``CompiledPlan.aux_plans``) so its ledger record is distinguishable
@@ -620,8 +635,8 @@ def _execute(plan, graph, ctx, options, budget, checkpoint, resources, *,
         _fold_aux_corrections(tally, plan, graph, options, budget,
                               checkpoint, resources, deadline_at)
         elapsed = time.perf_counter() - started
-    return _finish(plan, graph, options, tally, elapsed, budget, checkpoint,
-                   supervised, aux)
+    return tally, _finish(plan, graph, options, tally, elapsed, budget,
+                          checkpoint, supervised, aux)
 
 
 def _supervised(plan, ctx, options, budget, checkpoint, resources) -> bool:
@@ -648,7 +663,6 @@ def _supervised(plan, ctx, options, budget, checkpoint, resources) -> bool:
             or options.progress is not None)
 
 
-@contextlib.contextmanager
 def _governed(ctx, resources):
     """Governor scope: with a resource budget, one cancel token and
     :class:`~repro.runtime.resources.ResourceGovernor` per execution,
@@ -657,8 +671,15 @@ def _governed(ctx, resources):
     caller's context hooks and closes the token, unlinking its shared
     segment.  Yields the governor, or None on ungoverned runs."""
     if resources is None:
-        yield None
-        return
+        return _UNGOVERNED
+    return _governor_scope(ctx, resources)
+
+
+_UNGOVERNED = contextlib.nullcontext()
+
+
+@contextlib.contextmanager
+def _governor_scope(ctx, resources):
     token = CancelToken.create()
     governor = ResourceGovernor(resources, token)
     saved = (ctx.resources, ctx.poll_cancel)
@@ -712,24 +733,25 @@ def _fold_aux_corrections(tally, plan, graph, options, budget, checkpoint,
             aux_budget = replace(
                 budget, deadline_s=max(0.0, deadline_at - time.monotonic())
             )
-        aux_result = _execute(aux_plan, graph, None, options, aux_budget,
-                              checkpoint, resources, aux=True)
-        tally.fold_aux(aux_result, multiplier)
+        aux_tally, _ = _execute(aux_plan, graph, None, options, aux_budget,
+                                checkpoint, resources, aux=True)
+        tally.fold_aux(aux_tally, multiplier)
 
 
 def _finish(plan, graph, options, tally, elapsed, budget, checkpoint,
-            supervised, aux) -> ExecutionResult:
+            supervised, aux) -> ExecutionResult | None:
     """Build the result from the run's tally and record it in the ledger.
 
     Durable run history: one JSON line per execution when a ledger is
     active (a single flag check otherwise).  Aux (global-shrinkage
-    correction) executions record under their own fingerprints.
+    correction) executions record under their own fingerprints; their
+    tally folds into the parent's, so an aux run builds a result only
+    for the ledger, and returns None when none is active.
     """
-    from repro.observe import ledger as ledger_mod
-    from repro.observe import metrics as om
-
     om.histogram("repro_execution_seconds",
                  "whole-execution wall time").observe(elapsed)
+    if aux and ledger_mod.active_ledger() is None:
+        return None
     result = ExecutionResult(
         tally.accumulators, elapsed, plan.info.divisor, tally.chunk_seconds,
         tally.stats, failures=tally.failures, cancelled=tally.cancelled,
@@ -760,8 +782,6 @@ def run_chunk(plan, graph, ctx, index, attempt, start, stop, executor, *,
     runs on other threads never leak into it) and ``seconds`` is the
     span's window.
     """
-    kernel_before = setops.STATS.snapshot()
-    vec_before = vectorops.VSTATS.snapshot()
     cache_before = ctx.cache_counters()
     started = time.perf_counter()
     with span("chunk", index=index, attempt=attempt,
@@ -769,13 +789,24 @@ def run_chunk(plan, graph, ctx, index, attempt, start, stop, executor, *,
         if ctx.resources is not None:
             ctx.resources.check_cancel()
         ctx.fire_faults(index, attempt, allow_exit=allow_exit)
-        accumulators = _run_range(plan, graph, ctx, start, stop, executor)
+        accumulators, stats = None, {}
+        native = cgen.resolve(plan) if executor == "codegen" else None
+        if native is not None and native.entry is not None:
+            # The C side counts its own set ops: no snapshots needed.
+            accumulators, stats = cgen.run(plan, native, graph, ctx, start,
+                                           stop)
+        if accumulators is None:
+            # A Python executor, or the rerun of an inexact C result.
+            kernel_before = setops.STATS.snapshot()
+            vec_before = vectorops.VSTATS.snapshot()
+            accumulators = _run_range(plan, graph, ctx, start, stop,
+                                      executor)
+            _add_counts(stats, setops.STATS.delta(kernel_before))
+            _add_counts(stats, vectorops.VSTATS.delta(vec_before))
     # One clock: under tracing the chunk's reported seconds ARE the span
     # window (a second perf_counter pair could disagree with it), so
     # trace and chunk-coverage accounting are exact.
     seconds = chunk_span.duration or (time.perf_counter() - started)
-    stats = setops.STATS.delta(kernel_before)
-    stats.update(vectorops.VSTATS.delta(vec_before))
     for key, value in ctx.cache_counters().items():
         stats[key] = value - cache_before.get(key, 0)
     return accumulators, seconds, stats
@@ -783,9 +814,6 @@ def run_chunk(plan, graph, ctx, index, attempt, start, stop, executor, *,
 
 def _run_range(plan, graph, ctx, start, stop, executor) -> dict[str, int]:
     if executor == "codegen":
-        native = cgen.resolve(plan)
-        if native.entry is not None:
-            return cgen.run(plan, native, graph, ctx, start, stop)
         return plan.function(graph, ctx, start, stop)
     if executor == "interpreter":
         return run_interpreter(plan.root, graph, ctx, start, stop)

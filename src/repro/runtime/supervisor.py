@@ -369,20 +369,19 @@ class SupervisorOutcome:
         self.chunk_seconds.append(seconds)
         _add_counts(self.stats, stats)
 
-    def fold_aux(self, aux, multiplier: int) -> None:
-        """Fold one aux-plan correction run (an ``ExecutionResult``) in:
-        its count is subtracted ``multiplier`` times, its telemetry and
-        failures add up, its cancel reason and salvage fill in where
-        this run has none, and a Python aux plan makes the run's target
-        Python."""
+    def fold_aux(self, aux: "SupervisorOutcome", multiplier: int) -> None:
+        """Fold one aux-plan correction run's tally in: its count is
+        subtracted ``multiplier`` times, its telemetry and failures add
+        up, its cancel reason and salvage fill in where this run has
+        none, and a Python aux plan makes the run's target Python."""
         self.accumulators[COUNT_ACC] = (
-            self.accumulators.get(COUNT_ACC, 0) - multiplier * aux.raw_count
+            self.accumulators.get(COUNT_ACC, 0)
+            - multiplier * aux.accumulators.get(COUNT_ACC, 0)
         )
-        _add_counts(self.stats, aux.metrics.kernel_stats)
+        _add_counts(self.stats, aux.stats)
         self.failures.extend(aux.failures)
         for name in self.COUNTERS:
-            setattr(self, name,
-                    getattr(self, name) + getattr(aux.metrics, name))
+            setattr(self, name, getattr(self, name) + getattr(aux, name))
         self.cancelled = self.cancelled or aux.cancelled
         if self.salvage is None:
             self.salvage = aux.salvage

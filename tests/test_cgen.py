@@ -142,7 +142,10 @@ def test_int64_overflow_returns_the_exact_python_integer(tiny_graph):
         ScalarOp("c2", "mul", ("c1", 8)),
         Accumulate(COUNT_ACC, "c2"),
     ])
-    assert cgen.resolve(plan).target == "c"
+    native = cgen.resolve(plan)
+    assert native.target == "c"
+    # The C side reports no count; the engine reruns it in Python.
+    assert cgen.run(plan, native, tiny_graph, ExecutionContext())[0] is None
     result = execute_plan(plan, tiny_graph)
     assert result.raw_count == tiny_graph.num_vertices * 2 ** 65
     assert result.target == "c"
@@ -187,9 +190,9 @@ def test_chunk_counts_add_up_to_the_whole_range(profiled):
     plan = compile_pattern(catalog.house(), profile)
     native = cgen.resolve(plan)
     assert native.target == "c"
-    whole = cgen.run(plan, native, graph, ExecutionContext())
+    whole, _ = cgen.run(plan, native, graph, ExecutionContext())
     chunks = [
-        cgen.run(plan, native, graph, ExecutionContext(), lo, hi)[COUNT_ACC]
+        cgen.run(plan, native, graph, ExecutionContext(), lo, hi)[0][COUNT_ACC]
         for lo, hi in chunk_ranges(graph.num_vertices, 7)
     ]
     assert sum(chunks) == whole[COUNT_ACC]
@@ -210,7 +213,7 @@ def _resume_every_iteration(plan, graph, monkeypatch) -> None:
     ctx = ExecutionContext()
     ctx.poll_cancel = lambda: polls.append(1)
     monkeypatch.setattr(cgen, "SLICE_NS", 0)
-    counts = cgen.run(plan, native, graph, ctx)
+    counts, _ = cgen.run(plan, native, graph, ctx)
     assert counts == plan.function(graph, ExecutionContext())
     assert len(polls) == graph.num_vertices - 1
 
@@ -225,6 +228,104 @@ def test_time_slices_resume_nested_bitmaps_exactly(profiled, monkeypatch):
     graph, profile = profiled
     _resume_every_iteration(compile_pattern(SIX, profile), graph,
                             monkeypatch)
+
+
+def test_a_strided_slice_still_returns_to_poll(monkeypatch):
+    """The slice clock is read on a stride of outer iterations.  Over a
+    200,000-vertex ring, each iteration takes nanoseconds, so within a
+    100 µs slice the stride grows to its cap of 64 before the slice
+    ends; the run still returns to ``ctx.poll_cancel`` and resumes
+    exactly."""
+    n = 200_000
+    graph = CSRGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)],
+                                name="ring")
+    plan = _hand_plan([
+        SetOp("s2", "neighbors", ("v1",)),
+        ScalarOp("c1", "size", ("s2",)),
+        Accumulate(COUNT_ACC, "c1"),
+    ])
+    polls = []
+    ctx = ExecutionContext()
+    ctx.poll_cancel = lambda: polls.append(1)
+    monkeypatch.setattr(cgen, "SLICE_NS", 100_000)
+    counts, _ = cgen.run(plan, cgen.resolve(plan), graph, ctx)
+    assert counts == {COUNT_ACC: 2 * n}
+    assert polls
+
+
+def test_a_token_set_mid_run_stops_at_the_next_outer_iteration(
+        lj, monkeypatch):
+    """The cancel byte is read on every outer iteration: a token set
+    during the third slice return stops the run as it resumes, before
+    the iteration that would end in a fourth."""
+    graph, profile = lj
+    plan = compile_pattern(catalog.diamond(), profile)
+    token = resources.CancelToken.create()
+    try:
+        ctx = ExecutionContext(
+            resources=ResourceGovernor(ResourceBudget(), token))
+        polls = []
+
+        def poll():
+            polls.append(1)
+            if len(polls) == 3:
+                token.cancel("deadline")
+
+        ctx.poll_cancel = poll
+        monkeypatch.setattr(cgen, "SLICE_NS", 0)
+        with pytest.raises(ChunkCancelled) as caught:
+            cgen.run(plan, cgen.resolve(plan), graph, ctx)
+        assert caught.value.reason == "deadline"
+        assert len(polls) == 3
+    finally:
+        token.close()
+    assert active_tokens() == []
+
+
+def test_one_plan_alternates_between_graphs_exactly(lj):
+    """The entry points' per-graph arguments are kept on each graph, so
+    one plan run alternately on lj, its degree-oriented copy and wk
+    counts each exactly."""
+    graph, profile = lj
+    plan = compile_pattern(catalog.diamond(), profile)
+    native = cgen.resolve(plan)
+    graphs = [graph, orient(graph, "degree"), datasets.load("wk")]
+    expected = [plan.function(each, ExecutionContext()) for each in graphs]
+    assert expected[0] == expected[1] != expected[2]
+    for _ in range(3):
+        for each, counts in zip(graphs, expected):
+            ran, _ = cgen.run(plan, native, each, ExecutionContext())
+            assert ran == counts
+            assert execute_plan(plan, each).accumulators == counts
+
+
+def test_threads_submitting_on_one_session_stay_exact(lj):
+    """Threads run entry points concurrently (ctypes releases the GIL),
+    so each call has its own buffers: four threads submitting the warm
+    kinds on one session count what one thread does."""
+    from repro import DecoMine
+    from repro.api.messages import MiningRequest
+
+    graph, profile = lj
+    session = DecoMine(graph, profile=profile)
+    requests = [MiningRequest(pattern=pattern) for pattern in (
+        catalog.diamond(), catalog.clique(5), catalog.chain(4),
+        catalog.bowtie(), catalog.house())]
+    expected = [session.submit(request).count for request in requests]
+    assert all(session.plan_for(request.pattern).native.entry is not None
+               for request in requests)
+    results: list[list] = []
+
+    def work() -> None:
+        results.append([[session.submit(request).count
+                         for request in requests] for _ in range(5)])
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [[expected] * 5] * 4
 
 
 def _enclosing(source: str, needle: str) -> str:
@@ -272,7 +373,7 @@ def test_bitmap_set_under_if_positive_is_cleared_in_that_block(tiny_graph,
         assert _enclosing(native.source,
                           f"bm_mark({name}, m0, {on})").startswith("if (")
     for graph in (tiny_graph, profiled[0]):
-        counts = cgen.run(plan, native, graph, ExecutionContext())
+        counts, _ = cgen.run(plan, native, graph, ExecutionContext())
         assert counts == plan.function(graph, ExecutionContext())
         assert counts[COUNT_ACC] > 0
 
@@ -302,7 +403,7 @@ def test_induced_plans_subtract_through_the_bitmap(profiled):
     native = cgen.resolve(plan)
     assert "bm_not(" in native.source
     before = STATS.snapshot()
-    counts = cgen.run(plan, native, graph, ExecutionContext())
+    counts, _ = cgen.run(plan, native, graph, ExecutionContext())
     assert STATS.delta(before)["subtract_bitmap"] > 0
     assert counts == plan.function(graph, ExecutionContext())
 
@@ -327,8 +428,9 @@ def test_hub_operand_keeps_the_gallop_path():
     native = cgen.resolve(plan)
     assert native.bitmaps == 1
     before = STATS.snapshot()
-    counts = cgen.run(plan, native, graph, ExecutionContext())
+    counts, counters = cgen.run(plan, native, graph, ExecutionContext())
     delta = STATS.delta(before)
+    assert counters == delta  # what it returns is what it adds to STATS
     assert counts == plan.function(graph, ExecutionContext())
     # Each leaf's step to the hub gallops; every other step filters.
     assert delta["intersect_gallop"] == leaves
@@ -355,7 +457,7 @@ def test_a_filter_writing_past_its_last_hit_stays_in_its_buffer():
     ])
     native = cgen.resolve(plan)
     assert native.bitmaps == 1
-    counts = cgen.run(plan, native, graph, ExecutionContext())
+    counts, _ = cgen.run(plan, native, graph, ExecutionContext())
     assert counts == plan.function(graph, ExecutionContext())
 
 
@@ -381,7 +483,7 @@ def test_size_only_exclude_counts_distinct_present_values():
     assert native.source.count("excl_n(") == 3  # the helper and two calls
     assert "excl(" not in native.source
     before = STATS.snapshot()
-    counts = cgen.run(plan, native, graph, ExecutionContext())
+    counts, _ = cgen.run(plan, native, graph, ExecutionContext())
     assert counts == plan.function(graph, ExecutionContext())
     assert STATS.delta(before)["size_only"] == 2 * 2 * graph.num_edges
 
@@ -585,7 +687,7 @@ def _loops_over(source: str, name: str) -> int:
 def _matches_python(plan, graph) -> None:
     native = cgen.resolve(plan)
     assert native.target == "c"
-    assert (cgen.run(plan, native, graph, ExecutionContext())
+    assert (cgen.run(plan, native, graph, ExecutionContext())[0]
             == plan.function(graph, ExecutionContext()))
 
 

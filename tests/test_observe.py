@@ -315,6 +315,25 @@ class TestMetrics:
         with pytest.raises(ReproError, match="counter.*gauge"):
             reg.gauge("repro_thing_total")
 
+    def test_names_are_checked_when_created_not_when_looked_up(self):
+        """An invalid name raises on every attempt (it is never created),
+        and a name already registered keeps its kind and buckets."""
+        reg = MetricsRegistry()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid metric name"):
+                reg.histogram("repro bad seconds")
+        assert reg.names() == []
+        c = reg.counter("repro_seen_total")
+        assert reg.counter("repro_seen_total") is c
+        with pytest.raises(ReproError, match="counter.*histogram"):
+            reg.histogram("repro_seen_total")
+        h = reg.histogram("repro_seen_seconds", buckets=(0.1, 1.0))
+        assert reg.histogram("repro_seen_seconds", buckets=(0.1, 1.0)) is h
+        with pytest.raises(ReproError, match="buckets"):
+            reg.histogram("repro_seen_seconds")
+        with pytest.raises(ReproError, match="histogram.*counter"):
+            reg.counter("repro_seen_seconds")
+
     def test_histogram_bucket_conflict(self):
         reg = MetricsRegistry()
         h = reg.histogram("repro_t_seconds", buckets=(0.1, 1.0))

@@ -115,6 +115,16 @@ def test_out_degree_bounds(graph):
     assert by_degeneracy.max_out_degree <= by_degree.max_out_degree
 
 
+def test_oriented_view_reports_its_own_max_out_degree(graph):
+    """The base graph's cached max degree never stands in for the
+    oriented view's out-degrees; relabeling keeps the max degree."""
+    assert graph.max_degree == int(graph.degrees.max())
+    oriented = orient(graph, "degree")
+    assert oriented.max_out_degree == int(oriented.out_degrees.max())
+    assert oriented.max_out_degree < graph.max_degree
+    assert oriented.max_degree == graph.max_degree
+
+
 def test_orient_is_memoized(graph):
     assert orient(graph, "none") is graph
     once = orient(graph, "degeneracy")
