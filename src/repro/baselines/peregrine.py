@@ -15,11 +15,8 @@ partial resolution.
 from __future__ import annotations
 
 from repro.baselines.common import DirectPlanSystem
-from repro.compiler.specs import DirectSpec
-from repro.patterns.isomorphism import automorphism_count
-from repro.patterns.matching_order import greedy_extension_order
+from repro.compiler.specs import DirectSpec, densest_first
 from repro.patterns.pattern import Pattern
-from repro.patterns.symmetry import symmetry_breaking_restrictions
 
 __all__ = ["Peregrine"]
 
@@ -28,13 +25,4 @@ class Peregrine(DirectPlanSystem):
     name = "peregrine"
 
     def select_spec(self, pattern: Pattern, induced: bool, mode: str) -> DirectSpec:
-        first = max(range(pattern.n), key=pattern.degree)
-        rest = [v for v in range(pattern.n) if v != first]
-        order = (first,) + (
-            greedy_extension_order(pattern, [first], rest) if rest else ()
-        )
-        restrictions: tuple = ()
-        if automorphism_count(pattern) > 1:
-            restrictions = tuple(symmetry_breaking_restrictions(pattern))
-        return DirectSpec(pattern, order, restrictions=restrictions,
-                          induced=induced)
+        return densest_first(pattern, induced)

@@ -4,7 +4,8 @@
 back-end flow and returns a :class:`CompiledPlan` ready for the runtime
 engine.  ``compile_spec`` skips the search and compiles one explicit spec
 (used by the PLR and cost-model experiments, which sweep the space
-manually).
+manually).  Both, and the plan cache's reload, attach a global-shrinkage
+spec's corrections through :func:`with_corrections`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.compiler.build import PlanInfo, build_ast
 from repro.compiler.codegen import compile_root
 from repro.compiler.passes import PassOptions, optimize
 from repro.compiler.search import SearchOptions, search
-from repro.compiler.specs import Constraint, PlanSpec
+from repro.compiler.specs import Constraint, PlanSpec, densest_first
 from repro.costmodel import CostModel, CostProfile, get_model
 from repro.exceptions import CompilationError
 from repro.observe.ledger import note_phase
@@ -25,7 +26,9 @@ from repro.observe.trace import span
 from repro.patterns.isomorphism import automorphism_count, canonical_code
 from repro.patterns.pattern import Pattern
 
-__all__ = ["CompiledPlan", "compile_pattern", "compile_spec"]
+__all__ = [
+    "CompiledPlan", "compile_pattern", "compile_spec", "with_corrections",
+]
 
 
 @dataclass
@@ -119,55 +122,73 @@ def compile_pattern(
         note_phase("search", time.perf_counter() - search_started)
         with span("codegen"):
             function, source = compile_root(best.root)
-        aux_plans: tuple = ()
-        if getattr(best.spec, "include_shrinkages", True) is False:
-            # A count depends only on the isomorphism class, so each
-            # class of quotients compiles once per top-level call and
-            # becomes one aux plan: automorphism_count(q) // divisor is
-            # the same for every member, so the multipliers add.
-            quotients = {} if _quotients is None else _quotients
-            multipliers: dict = {}
-            for shrinkage in best.spec.decomposition.shrinkages:
-                code = canonical_code(shrinkage.pattern)
-                if code not in quotients:
-                    quotients[code] = compile_pattern(
-                        shrinkage.pattern, profile, model, mode="count",
-                        options=options, orientation=orientation,
-                        _quotients=quotients,
-                    )
-                multipliers[code] = multipliers.get(code, 0) + (
-                    automorphism_count(shrinkage.pattern)
-                    // quotients[code].info.divisor
+        # Quotient classes compile once per top-level call, recursion
+        # included.
+        quotients = {} if _quotients is None else _quotients
+
+        def quotient(code, pattern):
+            if code not in quotients:
+                quotients[code] = compile_pattern(
+                    pattern, profile, model, mode="count", options=options,
+                    orientation=orientation, _quotients=quotients,
                 )
-            aux_plans = tuple(
-                (quotients[code], m) for code, m in multipliers.items()
-            )
+            return quotients[code]
+
+        # Sound fallback: when the orient pass rewrote nothing (the
+        # winning plan's restrictions don't align with the rank), the
+        # plan records orientation "none" and the session executes it on
+        # the *original* graph.  Relabeling without rewrites still counts
+        # correctly but can actively hurt — it systematically makes the
+        # higher-degree endpoint of every edge the extension pivot.
+        effective_orientation = orientation
+        if orientation != "none" and not (best.report
+                                          and best.report.oriented):
+            effective_orientation = "none"
+        plan = with_corrections(CompiledPlan(
+            pattern=pattern,
+            spec=best.spec,
+            mode=mode,
+            root=best.root,
+            info=best.info,
+            source=source,
+            function=function,
+            cost=best.cost,
+            compile_seconds=0.0,
+            model_name=model.name,
+            orientation=effective_orientation,
+        ), quotient)
     elapsed = time.perf_counter() - started
     note_phase("compile", elapsed)
     _publish_orient_counters(orientation, best.report)
-    # Sound fallback: when the orient pass rewrote nothing (the winning
-    # plan's restrictions don't align with the rank), the plan records
-    # orientation "none" and the session executes it on the *original*
-    # graph.  Relabeling without rewrites still counts correctly but can
-    # actively hurt — it systematically makes the higher-degree endpoint
-    # of every edge the extension pivot.
-    effective_orientation = orientation
-    if orientation != "none" and not (best.report and best.report.oriented):
-        effective_orientation = "none"
-    return CompiledPlan(
-        pattern=pattern,
-        spec=best.spec,
-        mode=mode,
-        root=best.root,
-        info=best.info,
-        source=source,
-        function=function,
-        cost=best.cost,
-        compile_seconds=elapsed,
-        model_name=model.name,
-        aux_plans=aux_plans,
-        orientation=effective_orientation,
-    )
+    plan.compile_seconds = elapsed
+    return plan
+
+
+def with_corrections(plan: CompiledPlan, quotient) -> CompiledPlan:
+    """``plan`` with the aux plans its spec's global shrinkage
+    corrections need (see ``CompiledPlan.aux_plans``): the one place
+    that attaches them, for :func:`compile_pattern`, :func:`compile_spec`
+    and the plan cache's reload.  A spec with inline shrinkages needs
+    none.
+
+    ``quotient(code, pattern)`` returns the plan counting the quotient
+    pattern whose canonical code is ``code``.  A count depends only on
+    the isomorphism class, so each class becomes one aux plan:
+    ``automorphism_count(q) // divisor`` is the same for every member,
+    and the multipliers add.
+    """
+    if getattr(plan.spec, "include_shrinkages", True):
+        return plan
+    plans: dict = {}
+    multipliers: dict = {}
+    for shrinkage in plan.spec.decomposition.shrinkages:
+        code = canonical_code(shrinkage.pattern)
+        if code not in plans:
+            plans[code] = quotient(code, shrinkage.pattern)
+        multipliers[code] = multipliers.get(code, 0) + (
+            automorphism_count(shrinkage.pattern) // plans[code].info.divisor)
+    return replace(plan, aux_plans=tuple(
+        (plans[code], m) for code, m in multipliers.items()))
 
 
 def _publish_orient_counters(orientation: str, report) -> None:
@@ -205,7 +226,26 @@ def compile_spec(
     profile: CostProfile | None = None,
     model: CostModel | str | None = None,
 ) -> CompiledPlan:
-    """Compile one explicit spec without searching."""
+    """Compile one explicit spec without searching.
+
+    A global-shrinkage spec gets its corrections attached
+    (:func:`with_corrections`): each quotient compiles as its
+    densest-first direct plan with symmetry breaking, whatever
+    ``profile`` and ``model`` are (they only price ``spec``).
+    """
+    started = time.perf_counter()
+    plan = with_corrections(
+        _uncorrected(spec, mode, passes, profile, model),
+        lambda _code, pattern: compile_spec(densest_first(pattern),
+                                            passes=passes))
+    plan.compile_seconds = time.perf_counter() - started
+    return plan
+
+
+def _uncorrected(spec: PlanSpec, mode: str, passes: PassOptions,
+                 profile: CostProfile | None = None,
+                 model: CostModel | str | None = None) -> CompiledPlan:
+    """``spec`` lowered to a plan, without its corrections."""
     started = time.perf_counter()
     root, info = build_ast(spec, mode)
     optimize(root, passes)
@@ -219,7 +259,6 @@ def compile_spec(
         cost = estimate_cost(root, profile, model)
         model_name = model.name
     function, source = compile_root(root)
-    elapsed = time.perf_counter() - started
     return CompiledPlan(
         pattern=spec.pattern,
         spec=spec,
@@ -229,6 +268,6 @@ def compile_spec(
         source=source,
         function=function,
         cost=cost,
-        compile_seconds=elapsed,
+        compile_seconds=time.perf_counter() - started,
         model_name=model_name,
     )

@@ -44,7 +44,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.compiler.pipeline import CompiledPlan, compile_pattern, compile_spec
+from repro.compiler.pipeline import (
+    CompiledPlan,
+    _uncorrected,
+    compile_pattern,
+    with_corrections,
+)
 from repro.compiler.search import SearchOptions
 from repro.costmodel import CostProfile
 from repro.observe.ledger import note_phase
@@ -139,17 +144,19 @@ def _freeze_plan(plan: CompiledPlan) -> dict:
 
 
 def _rebuild_plan(frozen: dict, passes) -> CompiledPlan:
-    """Deterministically re-lower a frozen spec to an executable plan."""
-    return replace(
-        compile_spec(frozen["spec"], frozen["mode"], passes),
+    """Deterministically re-lower a frozen spec to an executable plan,
+    with the frozen aux plans as its corrections (a missing quotient
+    class raises, which the caller reads as a miss)."""
+    quotients = {canonical_code(aux["spec"].pattern): aux
+                 for aux, _multiplier in frozen["aux"]}
+    plan = replace(
+        _uncorrected(frozen["spec"], frozen["mode"], passes),
         cost=frozen["cost"],
         model_name=frozen["model_name"],
         orientation=frozen["orientation"],
-        aux_plans=tuple(
-            (_rebuild_plan(aux_frozen, passes), multiplier)
-            for aux_frozen, multiplier in frozen["aux"]
-        ),
     )
+    return with_corrections(
+        plan, lambda code, _pattern: _rebuild_plan(quotients[code], passes))
 
 
 class PlanCache:

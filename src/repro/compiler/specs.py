@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import CompilationError
 from repro.patterns.decomposition import Decomposition
+from repro.patterns.isomorphism import automorphism_count
 from repro.patterns.matching_order import greedy_extension_order
 from repro.patterns.pattern import Pattern
+from repro.patterns.symmetry import symmetry_breaking_restrictions
 
-__all__ = ["Constraint", "DirectSpec", "DecompSpec", "PlanSpec"]
+__all__ = ["Constraint", "DirectSpec", "DecompSpec", "PlanSpec",
+           "densest_first"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,20 @@ class DirectSpec:
         if self.induced:
             bits.append("vertex-induced")
         return ", ".join(bits)
+
+
+def densest_first(pattern: Pattern, induced: bool = False) -> DirectSpec:
+    """The direct plan of the densest-first heuristic (Peregrine's): a
+    highest-degree vertex first, then greedy extension by connectivity
+    to the matched prefix, with symmetry breaking."""
+    first = max(range(pattern.n), key=pattern.degree)
+    rest = [v for v in range(pattern.n) if v != first]
+    order = (first, *(greedy_extension_order(pattern, [first], rest)
+                      if rest else ()))
+    restrictions = (tuple(symmetry_breaking_restrictions(pattern))
+                    if automorphism_count(pattern) > 1 else ())
+    return DirectSpec(pattern, order, restrictions=restrictions,
+                      induced=induced)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ class CSRGraph:
         "indptr", "indices", "labels", "name", "_label_index",
         "_neighbor_views", "_degrees", "_fingerprint", "_degree_prefix",
         "_oriented_cache", "shared_descriptor", "_adjacency_lists",
-        "_max_degree", "_native_args",
+        "_max_degree", "_native_args", "_split",
     )
 
     def __init__(
@@ -62,6 +62,7 @@ class CSRGraph:
         self._oriented_cache: dict | None = None
         self._adjacency_lists: tuple[list[int], ...] | None = None
         self._max_degree: int | None = None
+        self._split: np.ndarray | None = None
         #: The C entry points' per-graph arguments, filled in by
         #: :mod:`repro.compiler.cgen`.
         self._native_args: tuple | None = None
@@ -119,6 +120,24 @@ class CSRGraph:
             prefix.setflags(write=False)
             self._degree_prefix = prefix
         return prefix
+
+    @property
+    def split(self) -> np.ndarray:
+        """``split[v]`` = index in ``indices`` of the first neighbor of
+        ``v`` greater than ``v`` (``indptr[v + 1]`` when there is none).
+
+        Built once with vectorised numpy and cached; treat read-only.
+        ``indices[split[v]:indptr[v + 1]]`` is the part of ``v``'s row
+        above ``v``, ``indices[indptr[v]:split[v]]`` the part below.
+        """
+        split = self._split
+        if split is None:
+            n = self.num_vertices
+            row = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+            below = np.bincount(row[self.indices < row], minlength=n)
+            split = self._split = self.indptr[:-1] + below
+            split.setflags(write=False)
+        return split
 
     @property
     def max_degree(self) -> int:

@@ -5,8 +5,8 @@ memory every worker touches the parent's copy-on-write pages — workable,
 but each pool restart re-inherits the parent heap, and nothing
 guarantees one physical copy across restarts or across concurrent runs.
 This module puts the graph's backing arrays (``indptr``, ``indices``,
-optional ``labels``, and an :class:`~repro.graph.transform.OrientedGraph`'s
-row-split array) into one ``multiprocessing.shared_memory`` segment:
+optional ``labels``, and the row-split array
+:attr:`~repro.graph.csr.CSRGraph.split`) into one ``multiprocessing.shared_memory`` segment:
 
 * the parent calls :func:`share_graph` once per run, getting a
   :class:`SharedGraphHandle` whose ``graph`` is a CSR view over the
@@ -53,8 +53,8 @@ class GraphDescriptor:
 
     ``arrays`` maps field name -> (byte offset, element count); every
     array is ``int64``.  ``orientation`` is ``None`` for a plain
-    :class:`CSRGraph`, else the :class:`OrientedGraph` mode (the split
-    array rides along under ``"split"``).
+    :class:`CSRGraph`, else the :class:`OrientedGraph` mode.  The split
+    array rides along under ``"split"`` either way.
     """
 
     segment: str
@@ -86,9 +86,9 @@ def _graph_fields(graph: CSRGraph) -> list[tuple[str, np.ndarray]]:
         fields.append(
             ("labels", np.ascontiguousarray(graph.labels, dtype=np.int64))
         )
-    split = getattr(graph, "_split", None)
-    if split is not None:
-        fields.append(("split", np.ascontiguousarray(split, dtype=np.int64)))
+    # Workers read the split index off the segment instead of each
+    # rebuilding it: oriented rows and the C target's half rows use it.
+    fields.append(("split", graph.split))
     return fields
 
 
@@ -103,13 +103,13 @@ def _build_graph(descriptor: GraphDescriptor, buf) -> CSRGraph:
     if descriptor.orientation is None:
         graph = CSRGraph(views["indptr"], views["indices"],
                          labels=views.get("labels"), name=descriptor.name)
+        graph._split = views["split"]
         graph.shared_descriptor = descriptor
         return graph
     from repro.graph.transform import OrientedGraph
 
-    # Bypass OrientedGraph.__init__: the split array is already in the
-    # segment, so workers skip the O(E) recomputation (and need no
-    # Reordering — only the session's id translation uses it).
+    # Bypass OrientedGraph.__init__: workers need no Reordering (only
+    # the session's id translation uses it).
     graph = OrientedGraph.__new__(OrientedGraph)
     CSRGraph.__init__(graph, views["indptr"], views["indices"],
                       labels=views.get("labels"), name=descriptor.name)

@@ -154,7 +154,7 @@ class OrientedGraph(CSRGraph):
     """
 
     __slots__ = (
-        "orientation", "reordering", "_split",
+        "orientation", "reordering",
         "_out_views", "_in_views", "_out_degree_prefix",
     )
 
@@ -163,11 +163,6 @@ class OrientedGraph(CSRGraph):
         super().__init__(indptr, indices, labels=labels, name=name)
         self.orientation = orientation
         self.reordering = reordering
-        # split[v] = first index of the out (higher-id) suffix of row v.
-        n = self.num_vertices
-        row = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        below = np.bincount(row[self.indices < row], minlength=n)
-        self._split = self.indptr[:-1] + below
         self._out_views: list | None = None
         self._in_views: list | None = None
         self._out_degree_prefix: np.ndarray | None = None
@@ -179,7 +174,7 @@ class OrientedGraph(CSRGraph):
             self._out_views = views = [None] * self.num_vertices
         view = views[v]
         if view is None:
-            view = self.indices[self._split[v]: self.indptr[v + 1]]
+            view = self.indices[self.split[v]: self.indptr[v + 1]]
             view.setflags(write=False)
             views[v] = view
         return view
@@ -191,14 +186,14 @@ class OrientedGraph(CSRGraph):
             self._in_views = views = [None] * self.num_vertices
         view = views[v]
         if view is None:
-            view = self.indices[self.indptr[v]: self._split[v]]
+            view = self.indices[self.indptr[v]: self.split[v]]
             view.setflags(write=False)
             views[v] = view
         return view
 
     @property
     def out_degrees(self) -> np.ndarray:
-        return self.indptr[1:] - self._split
+        return self.indptr[1:] - self.split
 
     @property
     def out_degree_prefix(self) -> np.ndarray:

@@ -73,11 +73,7 @@ from repro.observe.trace import (
 )
 from repro.runtime import setops, vectorops
 from repro.runtime.context import ExecutionContext
-from repro.runtime.resources import (
-    CancelToken,
-    ResourceBudget,
-    ResourceGovernor,
-)
+from repro.runtime.resources import ResourceBudget, ResourceGovernor
 from repro.runtime.supervisor import (
     CheckpointStore,
     RunBudget,
@@ -619,7 +615,7 @@ def _execute(plan, graph, ctx, options, budget, checkpoint, resources, *,
         orientation=orientation, target=target.target,
         fallback=target.reason,
     )
-    with _governed(ctx, resources) as governor, run_span:
+    with _governed(ctx, resources, deadline_at) as governor, run_span:
         started = time.perf_counter()
         if supervised:
             tally = _sweep_supervised(plan, exec_graph, ctx, options,
@@ -663,14 +659,16 @@ def _supervised(plan, ctx, options, budget, checkpoint, resources) -> bool:
             or options.progress is not None)
 
 
-def _governed(ctx, resources):
-    """Governor scope: with a resource budget, one cancel token and
-    :class:`~repro.runtime.resources.ResourceGovernor` per execution,
-    installed on ``ctx`` (a live token is what a SIGINT flips).  Every
-    exit path (success, ExecutionError, KeyboardInterrupt) restores the
-    caller's context hooks and closes the token, unlinking its shared
-    segment.  Yields the governor, or None on ungoverned runs."""
-    if resources is None:
+def _governed(ctx, resources, deadline_at):
+    """Governor scope: a run with a resource budget or a deadline gets
+    one :class:`~repro.runtime.resources.ResourceGovernor` per execution
+    (a default budget when it has only a deadline), installed on
+    ``ctx``.  The supervisor gives it the run's cancel token and closes
+    that (a live token is what the deadline timer and a SIGINT flip).
+    Every exit path (success, ExecutionError, KeyboardInterrupt)
+    restores the caller's context hooks.  Yields the governor, or None
+    on ungoverned runs."""
+    if resources is None and deadline_at is None:
         return _UNGOVERNED
     return _governor_scope(ctx, resources)
 
@@ -680,15 +678,13 @@ _UNGOVERNED = contextlib.nullcontext()
 
 @contextlib.contextmanager
 def _governor_scope(ctx, resources):
-    token = CancelToken.create()
-    governor = ResourceGovernor(resources, token)
+    governor = ResourceGovernor(resources)
     saved = (ctx.resources, ctx.poll_cancel)
     ctx.resources, ctx.poll_cancel = governor, governor.poll
     try:
         yield governor
     finally:
         ctx.resources, ctx.poll_cancel = saved
-        token.close()
 
 
 def _sweep_inline(plan, graph, ctx, executor) -> SupervisorOutcome:

@@ -22,13 +22,14 @@ outcome (the pool's ready loop, a drain, or the in-process serial path),
    chunks by) into two fresh half-chunks and requeued, down to
    ``ResourceBudget.min_chunk_weight`` — finer-grained work instead of
    retrying the whole chunk until the budget burns out.
-3. **Chunk timeout** — on a resource-governed run the supervisor flips
-   the shared cancel token with reason ``"preempt"``: every in-flight
+3. **Chunk timeout** — on a run with a cancel token (one with a
+   deadline or a resource budget) the supervisor flips the shared
+   cancel token with reason ``"preempt"``: every in-flight
    chunk parks itself at its next poll, completed results are drained
    during ``RunBudget.drain_grace_s`` (healthy work is never thrown
    away), the wedged chunk is bisected, and the pool is recycled only
    if a worker is still unresponsive after the grace window.  Without
-   a governor the pool cannot cancel a running task, so the legacy
+   a token the pool cannot cancel a running task, so the legacy
    ladder applies: drain finished results, terminate, restart.
 4. **Worker death** — detected by a pool health check (worker pid set
    or exit codes changed).  ``multiprocessing.Pool`` replaces dead
@@ -44,7 +45,7 @@ outcome (the pool's ready loop, a drain, or the in-process serial path),
    ``ExecutionResult.failures`` instead of crashing the run;
    ``embedding_count`` then refuses with an
    :class:`~repro.exceptions.ExecutionError`.  Deadline expiry and
-   SIGINT on governed runs cancel cooperatively through the token —
+   SIGINT on runs with a token cancel cooperatively through it —
    no pool teardown — and the outcome carries the completed work
    fraction (salvage) of everything that did finish.
 
@@ -72,7 +73,7 @@ from repro.exceptions import ExecutionError
 from repro.observe.ledger import graph_fingerprint
 from repro.observe.trace import graft_worker_spans
 from repro.runtime.context import ExecutionContext
-from repro.runtime.resources import ChunkCancelled, MemoryWatchdog
+from repro.runtime.resources import CancelToken, ChunkCancelled, MemoryWatchdog
 
 __all__ = [
     "RunBudget",
@@ -438,11 +439,13 @@ class Supervisor:
         self.done: set[int] = set()
         self.out = SupervisorOutcome()
         # The resource governor (None on ungoverned runs): carries the
-        # ResourceBudget and the shared cancel token.
+        # ResourceBudget, and the run's cancel token while it runs.
         self.resources = (
             resources if resources is not None
             else getattr(ctx, "resources", None)
         )
+        #: The run's cancel token (see :meth:`_open_token`), or None.
+        self.token = None
         # Chunk weights from the degree-weighted prefix sums (the same
         # work proxy the oriented engine cuts chunk ranges by).  Always
         # computed: progress heartbeats advance by them, bisection cuts
@@ -490,9 +493,11 @@ class Supervisor:
     # Entry point
     # ------------------------------------------------------------------
     def run(self) -> SupervisorOutcome:
-        watchdog = self._start_watchdog()
-        timer = self._start_deadline_timer()
+        watchdog = timer = None
         try:
+            self._open_token()
+            watchdog = self._start_watchdog()
+            timer = self._start_deadline_timer()
             self._load_checkpoint()
             pending = [i for i in sorted(self.bounds) if i not in self.done]
             if pending and self.workers > 1 and hasattr(os, "fork"):
@@ -518,37 +523,46 @@ class Supervisor:
                         list(f.bounds) for f in self.out.failures[:32]
                     ],
                 }
+            self._close_token()
         return self.out
 
     # ------------------------------------------------------------------
-    # Resource-governor plumbing (all no-ops on ungoverned runs)
+    # The run's cancel token (every helper is a no-op without one)
     # ------------------------------------------------------------------
-    def _token(self):
-        gov = self.resources
-        return gov.token if gov is not None else None
+    def _open_token(self) -> None:
+        """Give a governed run (one with a deadline or a resource budget)
+        its cancel token, closed by :meth:`_close_token`.  Chunks read it
+        through the governor, which flips it but does not own it."""
+        if self.resources is not None:
+            self.token = self.resources.token = CancelToken.create()
+
+    def _close_token(self) -> None:
+        """Detach the run's token from the governor and unlink its
+        shared segment."""
+        if self.token is not None:
+            self.resources.token = None
+            self.token.close()
+            self.token = None
 
     def _token_reason(self) -> str | None:
-        token = self._token()
+        token = self.token
         if token is None or not token.cancelled:
             return None
         return token.reason
 
     def _cancel(self, reason: str) -> None:
-        token = self._token()
-        if token is not None:
-            token.cancel(reason)
+        if self.token is not None:
+            self.token.cancel(reason)
 
     def _reset_token(self) -> None:
-        token = self._token()
-        if token is not None:
-            token.reset()
+        if self.token is not None:
+            self.token.reset()
 
     def _start_watchdog(self) -> MemoryWatchdog | None:
-        gov = self.resources
-        if gov is None or gov.token is None or gov.budget.max_rss_bytes is None:
+        if self.token is None or self.resources.budget.max_rss_bytes is None:
             return None
         watchdog = MemoryWatchdog(
-            gov.budget, gov.token, lambda: list(self._watch_pids)
+            self.resources.budget, self.token, lambda: list(self._watch_pids)
         )
         watchdog.start()
         return watchdog
@@ -557,8 +571,7 @@ class Supervisor:
         """Flip the cancel token when the deadline passes, so in-flight
         chunks stop cooperatively instead of running to completion and
         being discarded at the next supervisor poll."""
-        token = self._token()
-        if token is None or self.deadline_at is None:
+        if self.token is None or self.deadline_at is None:
             return None
         timer = threading.Timer(
             max(0.0, self.deadline_at - time.monotonic()),
@@ -933,7 +946,7 @@ class Supervisor:
                     self._cancel(reason)
                     self._drain(
                         inflight, requeue,
-                        budget.drain_grace_s if self._token() is not None
+                        budget.drain_grace_s if self.token is not None
                         else 0.0,
                     )
                     self._stop(list(queue) + list(inflight), reason)
@@ -986,7 +999,7 @@ class Supervisor:
                         or {w.pid for w in alive} != pids
                     ):
                         restart_reason = "worker-lost"
-                if restart_reason == "timeout" and self._token() is not None:
+                if restart_reason == "timeout" and self.token is not None:
                     # Cooperative preemption: flip the token so healthy
                     # in-flight chunks park at their next poll, keep
                     # every result that lands in the grace window,

@@ -173,7 +173,8 @@ class _Vectorized:
         self.num_vertices = graph.num_vertices
         self.env: dict[str, list] = {}
         self._universe: np.ndarray | None = None
-        self._split = getattr(graph, "_split", None)
+        self._split = (graph.split if getattr(graph, "orientation", None)
+                       else None)
         # Resource governor (None on ungoverned runs): shrinks the
         # effective frontier-row cap and is polled per descend slice.
         self.resources = getattr(ctx, "resources", None)

@@ -58,7 +58,7 @@ from repro.runtime.resources import (
     ResourceGovernor,
     active_tokens,
 )
-from repro.runtime.supervisor import RunPolicy
+from repro.runtime.supervisor import RunBudget, RunPolicy
 
 pytestmark = pytest.mark.skipif(cgen.find_compiler() is None,
                                 reason="no C compiler on this host")
@@ -529,6 +529,30 @@ def test_flipped_token_cancels_like_the_python_path(profiled, monkeypatch):
     assert active_tokens() == []
 
 
+def test_a_deadline_without_a_resource_budget_stops_its_only_chunk():
+    """The supervisor gives a deadline run its own cancel token, so the
+    deadline stops the one chunk in flight within a slice, without a
+    resource budget; the salvage says no work finished."""
+    graph = datasets.load("fr")
+    plan = compile_pattern(catalog.cycle(6), profile_graph(graph))
+    assert cgen.resolve(plan).target == "c"  # built before the clock
+    started = time.monotonic()
+    result = execute_plan(
+        plan, graph, options=EngineOptions(workers=1, chunks_per_worker=1),
+        policy=RunBudget(deadline_s=0.1))
+    elapsed = time.monotonic() - started
+    assert result.target == "c"
+    assert not result.ok and result.cancelled == "deadline"
+    # The whole chunk takes about a second on C.
+    assert elapsed < 0.35
+    assert result.salvage == {
+        "fraction": 0.0, "chunks_done": 0, "chunks_total": 1,
+        "unfinished": [[0, graph.num_vertices]],
+    }
+    assert [f.reason for f in result.failures] == ["deadline"]
+    assert active_tokens() == []
+
+
 def test_governed_parallel_run_is_exact(profiled):
     graph, profile = profiled
     plan = compile_pattern(catalog.house(), profile)
@@ -717,14 +741,24 @@ def test_bowtie_runs_its_triangle_nest_once(lj):
 
 def test_triangle_filters_through_the_tighter_bound(lj):
     """``trim_above(intersect_from(N(v0), N(v1), v0), v1)`` with
-    ``v1 > v0`` known is one bitmap filter of ``N(v1)`` above ``v1``."""
+    ``v1 > v0`` known is one bitmap filter of ``N(v1)`` above ``v1``.
+    Each row's part above its own vertex is a slice at ``split``, and
+    ``N(v0)``, read only above ``v0``, is bitmapped as that slice: the
+    loop nest has no binary search left."""
     graph, profile = lj
     plan = compile_pattern(catalog.triangle(), profile)
     source = cgen.resolve(plan).source
-    assert re.search(r"bm_and\(trim_above\(s\d+, v1\)", source)
-    # The only plain trim left is the symmetry-broken N(v0).
-    assert re.findall(r"= trim_above\((s\d+), (v\d+)\);", source) == [
-        (_first_neighborhood(source), "v0")]
+    nest = source[source.index("decomine_plan("):]
+    [upper_v0] = re.findall(
+        r"(s\d+) = \(set_t\)\{indices \+ split\[v0\], "
+        r"indptr\[v0 \+ 1\] - split\[v0\]\};", nest)
+    [upper_v1] = re.findall(
+        r"(s\d+) = \(set_t\)\{indices \+ split\[v1\], "
+        r"indptr\[v1 \+ 1\] - split\[v1\]\};", nest)
+    assert _bitmapped(nest) == [upper_v0]
+    assert re.search(rf"bm_and\({upper_v1}, {upper_v0}, m0,", nest)
+    for search in ("lower(", "trim_above(", "trim_below("):
+        assert search not in nest
     result = execute_plan(plan, graph)
     assert result.target == "c"
     assert result.embedding_count == reference.count_embeddings(

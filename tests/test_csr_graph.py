@@ -79,6 +79,18 @@ class TestAccessors:
     def test_subgraph_adjacency(self, k4_graph):
         assert len(k4_graph.subgraph_adjacency([0, 1, 2])) == 3
 
+    def test_split_marks_each_rows_part_above_its_vertex(self, tiny_graph):
+        # Vertex 7 is isolated; 6's neighbors all lie below it.
+        g = CSRGraph.from_edges(8, [*tiny_graph.edges(), (0, 6)])
+        split = g.split
+        for v in range(g.num_vertices):
+            row = g.neighbors(v)
+            cut = int(split[v] - g.indptr[v])
+            assert (row[:cut] < v).all() and (row[cut:] > v).all()
+        assert split[7] == g.indptr[7] == g.indptr[8]
+        assert split[6] == g.indptr[7]
+        assert g.split is split and not split.flags.writeable
+
     def test_avg_and_max_degree(self, k4_graph):
         assert k4_graph.avg_degree == 3.0
         assert k4_graph.max_degree == 3

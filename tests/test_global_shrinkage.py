@@ -8,6 +8,8 @@ structure of ESCAPE's error terms.  Counting results must be identical.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import reference
@@ -18,7 +20,7 @@ from repro.compiler.search import SearchOptions, enumerate_candidates
 from repro.compiler.specs import DecompSpec
 from repro.costmodel import get_model, profile_graph
 from repro.exceptions import CompilationError
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, power_law
 from repro.patterns import catalog
 from repro.patterns.decomposition import all_decompositions
 from repro.patterns.generation import all_connected_patterns
@@ -46,28 +48,18 @@ def global_spec(pattern, which=0):
     return DecompSpec(deco, deco.cutting_set, ext, include_shrinkages=False)
 
 
-def composite_plan(pattern, profile, which=0):
-    spec = global_spec(pattern, which)
-    main = compile_spec(spec)
-    aux = []
-    for shrinkage in spec.decomposition.shrinkages:
-        qplan = compile_pattern(shrinkage.pattern, profile)
-        aux.append(
-            (qplan,
-             automorphism_count(shrinkage.pattern) // qplan.info.divisor)
-        )
-    main.aux_plans = tuple(aux)
-    return main
+def composite_plan(pattern, which=0):
+    return compile_spec(global_spec(pattern, which))
 
 
 class TestCorrectness:
     @pytest.mark.parametrize("size", [4, 5])
-    def test_matches_bruteforce(self, graph, profile, size):
+    def test_matches_bruteforce(self, graph, size):
         for pattern in all_connected_patterns(size):
             decos = all_decompositions(pattern)
             if not decos or not decos[0].shrinkages:
                 continue
-            plan = composite_plan(pattern, profile)
+            plan = composite_plan(pattern)
             got = execute_plan(plan, graph).embedding_count
             assert got == reference.count_embeddings(graph, pattern), (
                 pattern.name
@@ -154,3 +146,32 @@ class TestPipeline:
         )
         got = execute_plan(plan, graph).embedding_count
         assert got == reference.count_embeddings(graph, pattern)
+
+
+class TestCompileSpec:
+    """``compile_spec`` attaches a global-shrinkage spec's corrections, so
+    a candidate compiled alone counts exactly (it used to count without
+    them and report ``ok``)."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        graph = power_law(300, 10.0, 2.3, seed=606)
+        return graph, profile_graph(graph)
+
+    def test_a_search_candidate_compiled_alone_counts_exactly(self, skewed):
+        graph, profile = skewed
+        [spec, *_] = [
+            candidate.spec for candidate in enumerate_candidates(
+                catalog.house(), profile, get_model("approx_mining"))
+            if getattr(candidate.spec, "include_shrinkages", True) is False
+        ]
+        session = execute_plan(compile_pattern(catalog.house(), profile),
+                               graph).embedding_count
+        assert session == 1_144_694
+        plan = compile_spec(spec)
+        assert plan.aux_plans
+        assert execute_plan(plan, graph).embedding_count == session
+
+    def test_inline_shrinkages_need_no_aux_plans(self):
+        spec = replace(global_spec(catalog.house()), include_shrinkages=True)
+        assert compile_spec(spec).aux_plans == ()

@@ -221,12 +221,10 @@ def test_overlapping_aux_runs_leave_later_runs_top_level(
     import threading
 
     from repro.baselines import reference
-    from repro.costmodel import profile_graph
     from repro.runtime import engine
     from tests.test_global_shrinkage import composite_plan
 
-    profile = profile_graph(graph, max_pattern_size=3, trials=40)
-    plan = composite_plan(catalog.house(), profile)
+    plan = composite_plan(catalog.house())
     assert plan.aux_plans
     aux_plans = {id(aux_plan) for aux_plan, _ in plan.aux_plans}
     entered = {"A": threading.Event(), "B": threading.Event()}

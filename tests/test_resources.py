@@ -346,6 +346,19 @@ class TestGovernedExecution:
         assert result.salvage is None
         assert active_tokens() == []  # the run unlinked its token
 
+    def test_a_deadline_timer_that_fails_to_start_leaks_no_token(
+            self, case, monkeypatch):
+        from repro.runtime.supervisor import Supervisor
+
+        def broken(self):
+            raise RuntimeError("can't start new thread")
+
+        graph, plan, _ = case
+        monkeypatch.setattr(Supervisor, "_start_deadline_timer", broken)
+        with pytest.raises(RuntimeError, match="new thread"):
+            execute_plan(plan, graph, policy=RunBudget(deadline_s=30.0))
+        assert active_tokens() == []
+
     def test_oom_chunk_bisects_to_exact_count_serial(self, case):
         graph, plan, expected = case
         faults = FaultPlan((Fault("oom", 1, attempts=None),))

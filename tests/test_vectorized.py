@@ -116,7 +116,7 @@ class TestBatchedKernels:
         graph = orient(erdos_renyi(20, 0.3, seed=1), "degree")
         vertices = np.array([3, 11, 3], dtype=np.int64)
         out = vectorops.neighbors_batch(
-            graph.indptr, graph.indices, vertices, split=graph._split
+            graph.indptr, graph.indices, vertices, split=graph.split
         )
         for i, v in enumerate(vertices):
             assert list(out.row(i)) == list(graph.out_neighbors(int(v)))
